@@ -15,7 +15,10 @@ from subglue.fieldio import render_pgm
 h = 1 / 64
 disk = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=h, shape=(129, 129))
 green = green_function(disk, (0.0, 0.0))
-print(f"solved in {green.iterations} sweeps, stencil residual {green.residual:.2e}")
+print(
+    f"solved in {green.iterations} CG iterations over {green.unknowns} unknowns, "
+    f"stencil residual {green.residual:.2e}"
+)
 
 # the unit disk's Green's function with pole at the centre is log(1/|x|)
 r = np.sqrt(disk.distance2_to((0, 0)))

@@ -194,8 +194,12 @@ def equilibrium_weights(
     """Weights maximizing the regularized mutual energy over the simplex.
 
     Projected gradient ascent from the uniform measure with a fixed step
-    ``1 / (2 ||A||)``; the run is deterministic.  ``converged`` is set once
-    the energy change between iterates drops below ``tol``.
+    ``1 / (2 ||C||)``, where ``C`` is the doubly centred kernel matrix: the
+    part of ``A`` acting on the simplex's tangent space.  A constant shift
+    of the kernel, which is what dilating the support does to the log
+    kernel, leaves ``C`` and hence the iteration unchanged.  The run is
+    deterministic.  ``converged`` is set once the energy change between
+    iterates drops below ``tol``.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
     if support.shape[0] < 2:
@@ -204,7 +208,12 @@ def equilibrium_weights(
         raise PreconditionError("equilibrium weights need dimension d >= 2")
     a = _kernel_matrix(support, d)
     n = support.shape[0]
-    lip = 2.0 * float(np.linalg.norm(a, 2))
+    # A - column means - row means + overall mean, built with one n x n
+    # temporary that is freed before the iteration
+    centred = a - a.mean(axis=0)
+    centred -= centred.mean(axis=1)[:, None]
+    lip = 2.0 * float(np.linalg.norm(centred, 2))
+    del centred
     step = 1.0 / lip if lip > 0 else 1.0
     w = np.full(n, 1.0 / n)
     energy = float(w @ a @ w)

@@ -160,11 +160,7 @@ def _p_point(params, key) -> tuple:
 
 
 def _solver_params(params) -> SolverParams:
-    omega = None
-    if "omega" in params and params["omega"] != "auto":
-        omega = _p_float(params, "omega")
     return SolverParams(
-        omega=omega,
         max_iter=_p_int(params, "max-iter", 1_000_000),
         rtol=_p_float(params, "rtol", 1e-10),
     )

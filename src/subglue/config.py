@@ -59,17 +59,17 @@ FIELD_PRIMITIVES = ("constant", "kernel", "affine", "max", "scale", "offset", "f
 
 _COMMAND_KEYS = {
     "verify": {"field", "on", "tol", "exclude", "samples"},
-    "green": {"domain", "pole", "S0", "omega", "max-iter", "rtol"},
+    "green": {"domain", "pole", "S0", "max-iter", "rtol"},
     "glue-basic": {"u", "on", "u0", "on0", "tol", "cert-tol"},
     "glue-two": {"v", "on", "v0", "on0", "tol", "cert-tol"},
     "glue-quant": {"v", "on", "g", "on0", "M_v", "m_v", "M_g", "m_g", "tol", "cert-tol"},
     "glue-green": {
         "v", "domain", "S0", "S", "D", "pole", "m_v", "M_v", "tol", "cert-tol",
-        "harmonic-tol", "omega", "max-iter", "rtol",
+        "harmonic-tol", "max-iter", "rtol",
     },
     "glue-full": {
         "v", "domain", "S0", "pole", "r", "M_v", "tol", "cert-tol",
-        "harmonic-tol", "samples", "omega", "max-iter", "rtol",
+        "harmonic-tol", "samples", "max-iter", "rtol",
     },
     "capacity": {"mode", "support", "circle", "n", "dim"},
 }

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .extreal import ExtReal, MINUS_INF, PLUS_INF
-from .geometry import GridDomain, NodeSet, as_point
+from .geometry import GridDomain, NodeSet, _shifted, as_point
 
 __all__ = [
     "ScalarField",
@@ -329,21 +329,10 @@ def mean_inf_constant(
 
 def _neighbour_sum(values: np.ndarray, fill: float = np.nan) -> np.ndarray:
     """Sum of the 2d axis neighbours, ``fill`` used beyond the lattice."""
-    d = values.ndim
     total = np.zeros_like(values)
-    for k in range(d):
+    for k in range(values.ndim):
         for step in (1, -1):
-            shifted = np.full_like(values, fill)
-            sl_src = [slice(None)] * d
-            sl_dst = [slice(None)] * d
-            if step == 1:
-                sl_src[k] = slice(1, None)
-                sl_dst[k] = slice(None, -1)
-            else:
-                sl_src[k] = slice(None, -1)
-                sl_dst[k] = slice(1, None)
-            shifted[tuple(sl_dst)] = values[tuple(sl_src)]
-            total = total + shifted
+            total = total + _shifted(values, k, step, fill)
     return total
 
 
@@ -504,26 +493,14 @@ def neighbour_max(v: ScalarField, from_set: NodeSet) -> np.ndarray:
     if np.any(from_set.mask & ~v.domain.mask):
         raise PreconditionError("approach set must lie in the field's active nodes")
     src = np.where(from_set.mask, v.values, -np.inf)
-    d = v.domain.dim
     out = np.full(v.domain.shape, -np.inf)
-    for offset in np.ndindex(*(3,) * d):
+    for offset in np.ndindex(*(3,) * v.domain.dim):
         if all(o == 1 for o in offset):
             continue
-        sl_src = []
-        sl_dst = []
+        shifted = src
         for k, o in enumerate(offset):
-            step = o - 1
-            if step == 1:
-                sl_src.append(slice(1, None))
-                sl_dst.append(slice(None, -1))
-            elif step == -1:
-                sl_src.append(slice(None, -1))
-                sl_dst.append(slice(1, None))
-            else:
-                sl_src.append(slice(None))
-                sl_dst.append(slice(None))
-        shifted = np.full(v.domain.shape, -np.inf)
-        shifted[tuple(sl_dst)] = src[tuple(sl_src)]
+            if o != 1:
+                shifted = _shifted(shifted, k, o - 1, -np.inf)
         out = np.maximum(out, shifted)
     return out
 

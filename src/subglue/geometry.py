@@ -110,6 +110,23 @@ class Box:
         return np.all((pts > lo) & (pts < hi), axis=-1)
 
 
+def _shifted(arr: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
+    """``out[i] = arr[i + step]`` along ``axis``, ``fill`` beyond the lattice.
+
+    Unlike ``np.roll`` nothing wraps around, so a node on the lattice edge
+    never sees the opposite edge as its neighbour.
+    """
+    out = np.full_like(arr, fill)
+    src = [slice(None)] * arr.ndim
+    dst = [slice(None)] * arr.ndim
+    if step > 0:
+        src[axis], dst[axis] = slice(step, None), slice(None, -step)
+    else:
+        src[axis], dst[axis] = slice(None, step), slice(-step, None)
+    out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
 def _moore_structure(d: int) -> np.ndarray:
     return np.ones((3,) * d, dtype=bool)
 
@@ -196,17 +213,8 @@ class GridDomain:
         """Active nodes whose 2d axis neighbours are all active."""
         interior = self.mask.copy()
         for k in range(self.dim):
-            shifted_lo = np.zeros_like(self.mask)
-            shifted_hi = np.zeros_like(self.mask)
-            sl_take = [slice(None)] * self.dim
-            sl_put = [slice(None)] * self.dim
-            sl_take[k] = slice(1, None)
-            sl_put[k] = slice(None, -1)
-            shifted_lo[tuple(sl_put)] = self.mask[tuple(sl_take)]
-            sl_take[k] = slice(None, -1)
-            sl_put[k] = slice(1, None)
-            shifted_hi[tuple(sl_put)] = self.mask[tuple(sl_take)]
-            interior &= shifted_lo & shifted_hi
+            for step in (1, -1):
+                interior &= _shifted(self.mask, k, step, False)
         return interior
 
     def boundary_mask(self) -> np.ndarray:

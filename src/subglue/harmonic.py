@@ -1,7 +1,9 @@
 """Discrete Dirichlet solves, Green's functions and harmonic continuation.
 
-The workhorse is a red-black SOR sweep over the unknown nodes of a masked
-grid; the colouring makes parallel updates race-free and the iteration
+Every solve assembles the masked 2d-point Laplacian over its unknown nodes
+once, as a sparse symmetric positive definite matrix with the fixed data
+folded into the right-hand side, and runs conjugate gradients on it until the
+max-norm of the stencil residual meets the target; the iteration is
 deterministic.  The Green's function of a domain D with pole o is obtained by
 solving the discrete Poisson problem with a normalized point source at the
 pole node and zero boundary values, which makes the result discretely
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .field import ScalarField, _neighbour_sum
-from .geometry import GridDomain, NodeSet, Point, as_point
+from .field import ScalarField
+from .geometry import GridDomain, NodeSet, Point, _shifted, as_point
 
 __all__ = [
     "SolverParams",
@@ -35,110 +37,115 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Successive over-relaxation settings.
+    """Conjugate-gradient settings.
 
-    ``omega=None`` picks ``2 / (1 + sin(pi h / L))`` per solve, with L the
-    largest extent of the unknown region's bounding box.  ``rtol`` scales the
-    stencil-residual target by the data range.
+    A solve stops once the max-norm of the stencil residual is at most
+    ``rtol`` times the data range; ``max_iter`` bounds the number of CG
+    iterations.
     """
 
-    omega: float | None = None
     max_iter: int = 1_000_000
     rtol: float = 1e-10
 
     def __post_init__(self):
-        if self.omega is not None and not (1.0 < self.omega < 2.0):
-            raise PreconditionError("relaxation factor must lie in (1, 2)")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be positive")
         if not (self.rtol > 0):
             raise PreconditionError("residual tolerance must be positive")
 
 
-def _auto_omega(unknown: np.ndarray, h: float) -> float:
-    idx = np.argwhere(unknown)
-    extent = (idx.max(axis=0) - idx.min(axis=0) + 1).max() * h
-    extent = max(extent, 2.0 * h)
-    return 2.0 / (1.0 + math.sin(math.pi * h / extent))
+def _laplacian_system(values: np.ndarray, unknown: np.ndarray, h2src):
+    """``(M, b)`` with ``M = -A`` the 2d-point Laplacian on the unknowns, in
+    row-major order, and the fixed neighbour values (0 beyond the lattice)
+    and ``h2src`` (per unknown, or None) folded into ``b``, so that
+    ``b - M u`` is the stencil residual.
+
+    CSR arrays are built straight from the (unknowns x (2d+1)) neighbour
+    table; missing neighbours are -1 there and dropped.
+    """
+    # imported here, not at module level, so that importing subglue for
+    # capacity or certification alone does not load scipy.sparse
+    from scipy import sparse
+
+    d = values.ndim
+    n = int(np.count_nonzero(unknown))
+    number = np.full(values.shape, -1, dtype=np.int32)
+    number[unknown] = np.arange(n, dtype=np.int32)
+    fixed_values = np.where(unknown, 0.0, values)
+    b = np.zeros(n) if h2src is None else -h2src
+    # keyed by step * (d - axis), so sorting the keys puts each row's
+    # columns in ascending order
+    columns = {0: number[unknown]}
+    for k in range(d):
+        for step in (-1, 1):
+            columns[step * (d - k)] = _shifted(number, k, step, -1)[unknown]
+            b += _shifted(fixed_values, k, step, 0.0)[unknown]
+    table = np.stack([columns[key] for key in sorted(columns)], axis=1)
+    coef = np.full(2 * d + 1, -1.0)
+    coef[d] = 2.0 * d
+    present = table >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    data = np.broadcast_to(coef, table.shape)[present]
+    matrix = sparse.csr_matrix((data, table[present], indptr), shape=(n, n))
+    return matrix, b
 
 
-def _sor_solve(
+def _cg_solve(
     values: np.ndarray,
     unknown: np.ndarray,
     h: float,
     params: SolverParams,
     source: np.ndarray | None = None,
 ):
-    """Red-black SOR for ``lap u = source`` on the unknown nodes.
+    """Conjugate gradients for ``lap u = source`` on the unknown nodes.
 
     ``values`` enters with the fixed data preset and an initial guess on the
-    unknowns; it is modified in place.  Returns ``(residual, sweeps)`` where
-    the residual is ``max |sum(neighbours) - 2d u - h^2 source|`` over the
-    unknowns.
+    unknowns; it is modified in place.  Returns ``(residual, iterations)``
+    where the residual is ``max |sum(neighbours) - 2d u - h^2 source|`` over
+    the unknowns.  A recurrence residual that meets the target is confirmed
+    against the true residual, and CG restarts from the true one if not.
     """
-    d = values.ndim
-    twod = 2.0 * d
-    h2src = np.zeros_like(values) if source is None else (h * h) * source
-    scale = 0.0
-    fixed = ~unknown
-    if fixed.any():
-        fvals = values[fixed]
-        fvals = fvals[np.isfinite(fvals)]
-        if fvals.size:
-            scale = float(fvals.max() - fvals.min())
+    fixed = values[~unknown]
+    fixed = fixed[np.isfinite(fixed)]
+    scale = float(fixed.max() - fixed.min()) if fixed.size else 0.0
     if source is not None:
-        scale = max(scale, float(np.abs(h2src).max()))
+        scale = max(scale, (h * h) * float(np.abs(source).max()))
     target = params.rtol * scale
-    omega = params.omega if params.omega is not None else _auto_omega(unknown, h)
+    if not unknown.any():
+        return 0.0, 0
 
-    parity = np.zeros(values.shape, dtype=int)
-    for k in range(d):
-        sh = [1] * d
-        sh[k] = values.shape[k]
-        parity = parity + np.arange(values.shape[k]).reshape(sh)
-    red = unknown & (parity % 2 == 0)
-    black = unknown & (parity % 2 == 1)
-
-    residual = math.inf
-    for sweep in range(1, params.max_iter + 1):
-        for colour in (red, black):
-            nb = _neighbour_sum(values, fill=0.0)
-            gs = (nb - h2src) / twod
-            values[colour] = (1.0 - omega) * values[colour] + omega * gs[colour]
-        nb = _neighbour_sum(values, fill=0.0)
-        res_arr = nb - twod * values - h2src
-        residual = float(np.abs(res_arr[unknown]).max()) if unknown.any() else 0.0
-        if residual <= target:
-            return residual, sweep
-    raise ConvergenceError(
-        f"SOR did not reach residual {target:g} within {params.max_iter} sweeps "
-        f"(final residual {residual:g})",
-        residual=residual,
-        iterations=params.max_iter,
-    )
-
-
-def _check_unknown_closed(mask_active: np.ndarray, unknown: np.ndarray):
-    """Every unknown node must have all 2d axis neighbours active."""
-    interior = unknown.copy()
-    d = mask_active.ndim
-    for k in range(d):
-        for step in (1, -1):
-            shifted = np.zeros_like(mask_active)
-            sl_src = [slice(None)] * d
-            sl_dst = [slice(None)] * d
-            if step == 1:
-                sl_src[k] = slice(1, None)
-                sl_dst[k] = slice(None, -1)
-            else:
-                sl_src[k] = slice(None, -1)
-                sl_dst[k] = slice(1, None)
-            shifted[tuple(sl_dst)] = mask_active[tuple(sl_src)]
-            interior &= shifted
-    if not np.array_equal(interior, unknown):
-        raise PreconditionError(
-            "an unknown node has an axis neighbour outside the active set"
+    h2src = None if source is None else (h * h) * source[unknown]
+    matrix, b = _laplacian_system(values, unknown, h2src)
+    x = values[unknown]
+    r = b - matrix @ x
+    residual = float(np.abs(r).max())
+    iterations = 0
+    p = r.copy()
+    rr = float(r @ r)
+    while residual > target and iterations < params.max_iter:
+        iterations += 1
+        q = matrix @ p
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        residual = float(np.abs(r).max())
+        if residual <= target:  # confirm; if the true residual fails, restart
+            r = b - matrix @ x
+            residual = float(np.abs(r).max())
+            p[:] = 0.0
+        rr, rr_prev = float(r @ r), rr
+        p = r + (rr / rr_prev) * p
+    values[unknown] = x
+    if residual > target:
+        residual = float(np.abs(b - matrix @ x).max())
+        raise ConvergenceError(
+            f"CG did not reach residual {target:g} within {params.max_iter} "
+            f"iterations (final residual {residual:g})",
+            residual=residual,
+            iterations=params.max_iter,
         )
+    return residual, iterations
 
 
 def solve_dirichlet(
@@ -147,7 +154,7 @@ def solve_dirichlet(
     """Solve the discrete Laplace equation on a connected grid domain.
 
     ``boundary_values`` is a full-lattice array read at the domain's boundary
-    nodes; those nodes are held fixed and the interior is relaxed until the
+    nodes; those nodes are held fixed and the interior is iterated until the
     stencil residual drops below ``rtol * (boundary range)``.  The output is
     clamped into ``[min boundary, max boundary]``, which the exact discrete
     solution satisfies (maximum principle) and the clamp only trims solver
@@ -166,11 +173,10 @@ def solve_dirichlet(
     bvals = boundary_values[boundary]
     if not np.all(np.isfinite(bvals)):
         raise PreconditionError("boundary values must be finite")
-    _check_unknown_closed(domain.mask, interior)
     values = np.zeros(domain.shape)
     values[boundary] = boundary_values[boundary]
     values[interior] = float(bvals.mean())
-    _sor_solve(values, interior, domain.spacing, params)
+    _cg_solve(values, interior, domain.spacing, params)
     lo, hi = float(bvals.min()), float(bvals.max())
     values[domain.mask] = np.clip(values[domain.mask], lo, hi)
     return ScalarField(domain, np.where(domain.mask, values, 0.0))
@@ -193,6 +199,7 @@ class GreenField:
     domain: GridDomain
     residual: float
     iterations: int
+    unknowns: int
     min_constant: float | None = None
 
     @property
@@ -205,6 +212,8 @@ class GreenField:
             "pole_node": list(self.pole_node),
             "pole_offset": self.pole_offset,
             "min_constant": self.min_constant,
+            "method": "cg",
+            "unknowns": self.unknowns,
             "residual": self.residual,
             "iterations": self.iterations,
         }
@@ -251,12 +260,11 @@ def green_function(
     if offset > domain.spacing * math.sqrt(domain.dim):
         raise PreconditionError("pole does not lie inside the domain")
     boundary = domain.mask & ~interior
-    _check_unknown_closed(domain.mask, interior)
     h = domain.spacing
     source = np.zeros(domain.shape)
     source[pole_node] = -_source_strength(domain.dim) / h**domain.dim
     values = np.zeros(domain.shape)
-    residual, sweeps = _sor_solve(values, interior, h, params, source=source)
+    residual, iterations = _cg_solve(values, interior, h, params, source=source)
     values[domain.mask] = np.maximum(values[domain.mask], 0.0)
     values[~domain.mask] = 0.0
     host = domain.full_lattice()
@@ -268,7 +276,8 @@ def green_function(
         pole_offset=offset,
         domain=domain,
         residual=residual,
-        iterations=sweeps,
+        iterations=iterations,
+        unknowns=int(np.count_nonzero(interior)),
     )
 
 
@@ -299,7 +308,7 @@ def green_min_constant(g: GreenField, s0: NodeSet) -> float:
 @dataclass
 class ContinuationResult:
     """Harmonic continuation output: the continued field, how many nodes the
-    ``max(. , v)`` guard engaged on, and the solve's residual/sweeps."""
+    ``max(. , v)`` guard engaged on, and the solve's residual/iterations."""
 
     field: ScalarField
     max_engaged: int
@@ -335,7 +344,7 @@ def harmonic_layer_continuation(
     values = np.zeros(v.domain.shape)
     values[ring.mask] = v.values[ring.mask]
     values[layer.mask] = float(ring_vals.mean())
-    residual, sweeps = _sor_solve(
+    residual, iterations = _cg_solve(
         values, layer.mask.copy(), v.domain.spacing, params
     )
     lo, hi = float(ring_vals.min()), float(ring_vals.max())
@@ -347,5 +356,5 @@ def harmonic_layer_continuation(
     out[layer.mask] = guarded
     tilde = ScalarField(v.domain, np.where(v.domain.mask, out, 0.0))
     return ContinuationResult(
-        field=tilde, max_engaged=engaged, residual=residual, iterations=sweeps
+        field=tilde, max_engaged=engaged, residual=residual, iterations=iterations
     )

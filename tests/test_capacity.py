@@ -175,6 +175,18 @@ def test_equilibrium_matches_simplex_grid_search():
         assert res.energy >= best - 1e-12
 
 
+def test_equilibrium_step_does_not_depend_on_dilation():
+    # dilating the support shifts the log kernel by a constant; the step is
+    # taken from the doubly centred kernel, so the iteration must not change
+    t = np.linspace(-1.0, 1.0, 256)
+    segment = np.stack([t, np.zeros_like(t)], axis=1)
+    runs = {s: equilibrium_weights(s * segment, 2) for s in (0.5, 1.0, 2.0)}
+    assert runs[0.5].converged
+    assert len({res.iterations for res in runs.values()}) == 1
+    for s, res in runs.items():
+        assert np.exp(res.energy) == pytest.approx(s / 2.0, rel=0.02)
+
+
 # ---------------------------------------------------------------------------
 # Fekete configurations
 # ---------------------------------------------------------------------------

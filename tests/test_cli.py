@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from subglue import parse_config, read_field
+from subglue import parse_config, rasterize_ball, read_field
 from subglue.cli import main, render, run
 
 VERIFY_KERNEL = """
@@ -208,6 +208,31 @@ command green {
     assert meta["residual"] >= 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["constants"]["M_g"] == pytest.approx(np.log(2.0), abs=0.05)
+
+
+def test_green_sidecar_names_the_solver(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        """
+grid {
+  origin -1 -1
+  spacing 0.0625
+  shape 33 33
+}
+set D { add ball 0 0 1 }
+command green {
+  domain D
+  pole 0 0
+}
+""",
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "out" / "green_meta.json").read_text())
+    # the iteration count is CG iterations over the interior unknowns
+    disk = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=0.0625, shape=(33, 33))
+    assert meta["method"] == "cg"
+    assert meta["unknowns"] == int(disk.interior_mask().sum())
+    assert 0 < meta["iterations"] < meta["unknowns"]
 
 
 def test_capacity_command(tmp_path):

@@ -109,6 +109,26 @@ def test_unknown_command_key_rejected():
         parse_config(bad)
 
 
+def test_removed_omega_key_rejected():
+    # the relaxation factor went away with the SOR solver; a config that
+    # still sets it must fail loudly rather than be silently ignored
+    cfg = """
+grid {
+  origin -1 -1
+  spacing 0.25
+  shape 9 9
+}
+set D { add ball 0 0 1 }
+command green {
+  domain D
+  pole 0 0
+  omega 1.9
+}
+"""
+    with pytest.raises(ConfigValueError, match="omega"):
+        parse_config(cfg)
+
+
 def test_grid_invariants():
     bad = MINIMAL.replace("spacing 0.25", "spacing -0.25")
     with pytest.raises(ConfigValueError, match="positive"):

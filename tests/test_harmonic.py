@@ -19,6 +19,9 @@ from subglue import (
     solve_dirichlet,
 )
 
+from subglue.field import _neighbour_sum
+from subglue.harmonic import _cg_solve
+
 from conftest import annulus_domain, disk_domain, log_field
 
 
@@ -271,3 +274,76 @@ def test_continuation_rejects_non_open_layer():
     layer = NodeSet(dom, dom.mask)  # includes boundary nodes
     with pytest.raises(PreconditionError, match="open in the grid sense"):
         harmonic_layer_continuation(v, layer)
+
+
+# ---------------------------------------------------------------------------
+# the conjugate-gradient solver against a dense solve of the same system
+# ---------------------------------------------------------------------------
+
+
+def _dense_stencil_solve(values, unknown, h, source):
+    """The stencil system ``sum(neighbours) - 2d u = h^2 source`` assembled
+    node by node (fixed neighbours read from ``values``, 0 beyond the
+    lattice) and solved with a dense LU factorization."""
+    nodes = [tuple(int(i) for i in node) for node in np.argwhere(unknown)]
+    number = {node: i for i, node in enumerate(nodes)}
+    a = np.zeros((len(nodes), len(nodes)))
+    rhs = np.zeros(len(nodes))
+    for i, node in enumerate(nodes):
+        a[i, i] = -2.0 * values.ndim
+        rhs[i] = h * h * source[node]
+        for k in range(values.ndim):
+            for step in (1, -1):
+                nb = list(node)
+                nb[k] += step
+                nb = tuple(nb)
+                if not 0 <= nb[k] < values.shape[k]:
+                    continue
+                if nb in number:
+                    a[i, number[nb]] = 1.0
+                else:
+                    rhs[i] -= values[nb]
+    return np.linalg.solve(a, rhs)
+
+
+@pytest.mark.parametrize("shape", [(21, 19), (8, 9, 7)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cg_matches_dense_solve_on_random_masked_domains(shape, seed):
+    # unknowns are a random subset of the whole lattice, edges included, so
+    # a neighbour shift that wrapped around would show up as a mismatch
+    rng = np.random.default_rng(seed)
+    h = 1 / 16
+    unknown = rng.random(shape) < 0.7
+    values = np.where(unknown, 0.0, rng.uniform(-1.0, 1.0, shape))
+    source = np.zeros(shape)
+    pole = tuple(np.argwhere(unknown)[rng.integers(unknown.sum())])
+    source[pole] = -2.0 * np.pi / h ** len(shape)
+    assert 200 <= unknown.sum() <= 400
+    expected = _dense_stencil_solve(values, unknown, h, source)
+
+    # the residual target is rtol * max(fixed-data range, h^2 |source|)
+    rtol = 1e-12
+    scale = max(np.ptp(values[~unknown]), h * h * abs(source[pole]))
+    solved = values.copy()
+    residual, iterations = _cg_solve(solved, unknown, h, SolverParams(rtol=rtol), source=source)
+    assert iterations > 0 and 0 < residual <= rtol * scale
+    assert float(np.abs(solved[unknown] - expected).max()) <= 1e-9
+    assert np.array_equal(solved[~unknown], values[~unknown])
+
+
+def test_cg_below_roundoff_target_restarts_and_reports_true_residual():
+    # a target below roundoff: the recurrence residual passes it, the true
+    # residual cannot, so CG keeps restarting until max_iter and reports
+    # the true residual of the values it leaves behind
+    rng = np.random.default_rng(0)
+    unknown = rng.random((21, 19)) < 0.7
+    values = np.where(unknown, 0.0, rng.uniform(-1.0, 1.0, unknown.shape))
+    with pytest.raises(ConvergenceError) as err:
+        _cg_solve(values, unknown, 1 / 16, SolverParams(max_iter=300, rtol=1e-17))
+    stencil = _neighbour_sum(values, fill=0.0) - 4.0 * values
+    true = float(np.abs(stencil[unknown]).max())
+    target = 1e-17 * np.ptp(values[~unknown])
+    assert err.value.iterations == 300
+    assert target < err.value.residual <= 1e-14
+    # b - M u and the stencil sum round differently at this level
+    assert true / 4 <= err.value.residual <= 4 * true
