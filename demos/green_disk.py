@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from subglue import NodeSet, green_function, is_harmonic, rasterize_ball
-from subglue.fieldio import render_pgm
+from subglue.fieldio import write_pgm
 
 h = 1 / 64
 disk = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=h, shape=(129, 129))
@@ -27,14 +27,10 @@ err = np.abs(green.values - oracle)[disk.mask & (r >= 0.1)]
 print(f"sup |g - log(1/|x|)| over |x| >= 0.1: {err.max():.4f}")
 
 # discretely harmonic away from the pole node and its stencil ring
-ring = np.zeros(disk.shape, dtype=bool)
-ring[green.pole_node] = True
-ring = NodeSet(disk, ring).dilate("axis")
+ring = green.pole_set().dilate("axis")
 report = is_harmonic(green.field, NodeSet(disk, disk.interior_mask() & ~ring.mask), 10 * h)
 print(report)
 
 out = os.path.join(os.path.dirname(__file__), "green_disk.pgm")
-data, _ = render_pgm(green.field)
-with open(out, "wb") as handle:
-    handle.write(data)
+write_pgm(green.field, out)
 print(f"render written to {out}")

@@ -103,15 +103,6 @@ class EnergyReport:
     converged: bool
     points: np.ndarray | None = None
 
-    def as_record(self) -> dict:
-        return {
-            "energy": self.energy,
-            "capacity": self.capacity,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "points": None if self.points is None else self.points.tolist(),
-        }
-
 
 @dataclass
 class EquilibriumResult:

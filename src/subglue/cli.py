@@ -10,7 +10,6 @@ commands, a ``field.txt``; ``--render`` adds a ``field.pgm``.  Exit status:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -18,7 +17,7 @@ import time
 import numpy as np
 
 from .capacity import equilibrium_weights, fekete_capacity
-from .config import SceneConfig, parse_config, serialize_config
+from .config import SceneConfig, parse_config
 from .errors import (
     ConfigError,
     ConfigValueError,
@@ -26,14 +25,8 @@ from .errors import (
     PreconditionError,
     SubglueError,
 )
-from .field import ScalarField, is_harmonic, is_subharmonic, VerificationReport
-from .fieldio import (
-    read_field,
-    render_pgm,
-    write_field,
-    write_points,
-    write_text_atomic,
-)
+from .field import ScalarField, check, is_harmonic, is_subharmonic
+from .fieldio import read_field, write_field, write_json, write_pgm, write_points
 from .geometry import Ball, Box, GridDomain, NodeSet
 from .gluing import GlueConstants, glue_basic, glue_full, glue_green, glue_quantitative, glue_two
 from .harmonic import SolverParams, green_function, green_min_constant
@@ -131,23 +124,34 @@ class _Scene:
 # ---------------------------------------------------------------------------
 
 
-def _p_float(params, key, default=None) -> float:
-    if key not in params:
-        if default is None:
-            raise ConfigValueError(f"missing numeric key {key!r}")
-        return default
-    raw = params[key]
+def _number(key, raw, integer=False):
     if isinstance(raw, tuple):
         raise ConfigValueError(f"key {key!r} takes a single number")
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ConfigValueError(f"key {key!r} is not a number: {raw!r}") from None
+    if integer and not val.is_integer():
+        raise ConfigValueError(f"key {key!r} is not an integer: {raw!r}")
+    return int(val) if integer else val
+
+
+def _p_float(params, key, default=None, integer=False):
+    if key in params:
+        return _number(key, params[key], integer)
+    if default is None:
+        raise ConfigValueError(f"missing numeric key {key!r}")
+    return default
 
 
 def _p_int(params, key, default=None) -> int:
-    val = _p_float(params, key, default=float(default) if default is not None else None)
-    return int(val)
+    return _p_float(params, key, default, integer=True)
+
+
+def _p_tol(params, key) -> float | None:
+    """An optional tolerance; absent or at most 0 means the library default."""
+    val = _p_float(params, key, -1.0)
+    return val if val > 0 else None
 
 
 def _p_point(params, key) -> tuple:
@@ -167,241 +171,207 @@ def _solver_params(params) -> SolverParams:
 
 
 # ---------------------------------------------------------------------------
-# command execution
+# command handlers
 # ---------------------------------------------------------------------------
+
+
+class _Run:
+    """One command's parsed tolerances and everything it emits: check
+    reports, report constants and records, output files, the result field."""
+
+    def __init__(self, scene: _Scene, tol_override, out_dir):
+        self.scene = scene
+        self.params = params = scene.cfg.params
+        self.out_dir = out_dir
+        if tol_override is None and "tol" in params:
+            tol_override = _p_float(params, "tol")
+        self._tol = tol_override
+        self.cert_tol = _p_tol(params, "cert-tol")
+        self.harmonic_tol = _p_tol(params, "harmonic-tol")
+        self.checks = []
+        self.constants = {}
+        self.records = {}
+        self.outputs = []
+        self.field = None
+
+    @property
+    def tol(self) -> float:
+        if self._tol is None:
+            raise ConfigValueError(f"{self.scene.cfg.command} needs a tolerance")
+        return self._tol
+
+    def emit(self, name, write, data):
+        """Write ``data`` to ``name`` in the output directory and list it;
+        returns what ``write`` returns."""
+        path = os.path.join(self.out_dir, name)
+        self.outputs.append(path)
+        return write(data, path)
+
+    def glued(self, res):
+        self.checks.extend(res.reports)
+        self.field = res.field
+        if res.constants is not None:
+            self.constants.update(res.constants.as_dict())
 
 
 def _green_reports(green, d_domain) -> list:
     lattice = green.field.domain
-    pole_ring = np.zeros(lattice.shape, dtype=bool)
-    pole_ring[green.pole_node] = True
-    ring_set = NodeSet(lattice, pole_ring).dilate("axis")
-    region = NodeSet(lattice, d_domain.interior_mask() & ~ring_set.mask)
-    reports = [
+    ring = green.pole_set().dilate("axis")
+    region = NodeSet(lattice, d_domain.interior_mask() & ~ring.mask)
+    outside = np.abs(green.values[~d_domain.mask])
+    return [
         is_harmonic(
             green.field, region, 10.0 * lattice.spacing,
             name="Green field harmonic off the pole ring", tag="4.4h",
-        )
+        ),
+        check(
+            "Green field nonnegative", "4.4s",
+            max(0.0, -float(green.values[d_domain.mask].min())), 0.0,
+        ),
+        check(
+            "Green field vanishes outside its domain", "4.4_0",
+            outside.max() if outside.size else 0.0, 0.0,
+        ),
     ]
-    inside_vals = green.values[d_domain.mask]
-    neg = max(0.0, -float(inside_vals.min()))
-    reports.append(
-        VerificationReport(
-            name="Green field nonnegative", tag="4.4s",
-            passed=neg <= 0.0, worst=neg, tol=0.0,
-        )
+
+
+def _verify(job: _Run):
+    p, scene = job.params, job.scene
+    job.field = scene.field(p["field"], scene.domain(p["on"]))
+    exclude = scene.node_set(p["exclude"]) if "exclude" in p else None
+    job.checks.append(is_subharmonic(job.field, job.tol, exclude=exclude))
+
+
+def _green(job: _Run):
+    p, scene = job.params, job.scene
+    d_domain = scene.domain(p["domain"])
+    green = green_function(d_domain, _p_point(p, "pole"), _solver_params(p))
+    if "S0" in p:
+        job.constants["M_g"] = green_min_constant(green, scene.node_set(p["S0"]))
+    job.checks.extend(_green_reports(green, d_domain))
+    job.field = green.field
+    job.emit("green_meta.json", write_json, green.metadata())
+
+
+def _two_fields(job: _Run, outer_key, inner_key):
+    """The fields named by two keys on the ``on`` and ``on0`` domains."""
+    p, scene = job.params, job.scene
+    outer, inner = scene.domain(p["on"]), scene.domain(p["on0"])
+    return scene.field(p[outer_key], outer), scene.field(p[inner_key], inner)
+
+
+def _glue_basic(job: _Run):
+    u, u0 = _two_fields(job, "u", "u0")
+    job.glued(glue_basic(u, u0, job.tol, cert_tol=job.cert_tol))
+
+
+def _glue_two(job: _Run):
+    v, v0 = _two_fields(job, "v", "v0")
+    job.glued(glue_two(v, v0, job.tol, cert_tol=job.cert_tol))
+
+
+def _glue_quant(job: _Run):
+    v, g = _two_fields(job, "v", "g")
+    consts = GlueConstants(*(_p_float(job.params, k) for k in ("M_v", "m_v", "M_g", "m_g")))
+    job.glued(glue_quantitative(v, g, consts, job.tol, cert_tol=job.cert_tol))
+
+
+def _field_off_core(job: _Run):
+    """The ``v`` field on the ambient set minus the core, and the core."""
+    p, scene = job.params, job.scene
+    s0 = scene.node_set(p["S0"])
+    v_domain = scene.lattice.with_mask(scene.set_mask(p["domain"]) & ~s0.mask)
+    if not v_domain.mask.any():
+        raise PreconditionError("empty domain: ambient set minus the core is empty")
+    return scene.field(p["v"], v_domain), s0
+
+
+def _glue_green(job: _Run):
+    p, scene = job.params, job.scene
+    v, s0 = _field_off_core(job)
+    res = glue_green(
+        v,
+        s0=s0,
+        s=scene.node_set(p["S"]),
+        d_domain=scene.domain(p["D"]),
+        o=_p_point(p, "pole"),
+        m_v=_p_float(p, "m_v"),
+        M_v=_p_float(p, "M_v"),
+        params=_solver_params(p),
+        tol=job.tol,
+        cert_tol=job.cert_tol,
+        harmonic_tol=job.harmonic_tol,
     )
-    outside = np.abs(green.values[~d_domain.mask])
-    out_worst = float(outside.max()) if outside.size else 0.0
-    reports.append(
-        VerificationReport(
-            name="Green field vanishes outside its domain", tag="4.4_0",
-            passed=out_worst == 0.0, worst=out_worst, tol=0.0,
-        )
+    job.glued(res)
+
+
+def _glue_full(job: _Run):
+    p = job.params
+    v, s0 = _field_off_core(job)
+    res = glue_full(
+        v,
+        s0=s0,
+        o=_p_point(p, "pole"),
+        r=_p_float(p, "r"),
+        M_v=_p_float(p, "M_v"),
+        params=_solver_params(p),
+        tol=job.tol,
+        cert_tol=job.cert_tol,
+        harmonic_tol=job.harmonic_tol,
+        mean_samples=_p_int(p, "samples", 256),
     )
-    return reports
+    job.glued(res)
 
 
-def _execute(scene: _Scene, tol_override, out_dir, do_render):
-    cfg = scene.cfg
-    params = cfg.params
-    command = cfg.command
-    tol = tol_override
-    if tol is None and "tol" in params:
-        tol = _p_float(params, "tol")
-
-    outputs = []
-    checks = []
-    constants = {}
-    result_field = None
-    extra_records = {}
-
-    if command == "verify":
-        if tol is None:
-            raise ConfigValueError("verify needs a tolerance")
-        domain = scene.domain(params["on"])
-        field = scene.field(params["field"], domain)
-        exclude = scene.node_set(params["exclude"]) if "exclude" in params else None
-        checks.append(is_subharmonic(field, tol, exclude=exclude))
-        result_field = field
-    elif command == "green":
-        d_domain = scene.domain(params["domain"])
-        green = green_function(d_domain, _p_point(params, "pole"), _solver_params(params))
-        if "S0" in params:
-            m = green_min_constant(green, scene.node_set(params["S0"]))
-            constants["M_g"] = m
-        checks.extend(_green_reports(green, d_domain))
-        result_field = green.field
-        meta = green.metadata()
-        meta_path = os.path.join(out_dir, "green_meta.json")
-        write_text_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        outputs.append(meta_path)
-    elif command in ("glue-basic", "glue-two"):
-        if tol is None:
-            raise ConfigValueError(f"{command} needs a tolerance")
-        cert_tol = _p_float(params, "cert-tol", -1.0)
-        cert_tol = None if cert_tol <= 0 else cert_tol
-        outer = scene.domain(params["on"])
-        inner = scene.domain(params["on0"])
-        if command == "glue-basic":
-            u = scene.field(params["u"], outer)
-            u0 = scene.field(params["u0"], inner)
-            res = glue_basic(u, u0, tol, cert_tol=cert_tol)
-        else:
-            v = scene.field(params["v"], outer)
-            v0 = scene.field(params["v0"], inner)
-            res = glue_two(v, v0, tol, cert_tol=cert_tol)
-        checks.extend(res.reports)
-        result_field = res.field
-    elif command == "glue-quant":
-        if tol is None:
-            raise ConfigValueError("glue-quant needs a tolerance")
-        cert_tol = _p_float(params, "cert-tol", -1.0)
-        cert_tol = None if cert_tol <= 0 else cert_tol
-        outer = scene.domain(params["on"])
-        inner = scene.domain(params["on0"])
-        v = scene.field(params["v"], outer)
-        g = scene.field(params["g"], inner)
-        consts = GlueConstants(
-            M_v=_p_float(params, "M_v"),
-            m_v=_p_float(params, "m_v"),
-            M_g=_p_float(params, "M_g"),
-            m_g=_p_float(params, "m_g"),
-        )
-        res = glue_quantitative(v, g, consts, tol, cert_tol=cert_tol)
-        checks.extend(res.reports)
-        constants.update(res.constants.as_dict())
-        result_field = res.field
-    elif command == "glue-green":
-        if tol is None:
-            raise ConfigValueError("glue-green needs a tolerance")
-        cert_tol = _p_float(params, "cert-tol", -1.0)
-        cert_tol = None if cert_tol <= 0 else cert_tol
-        harmonic_tol = _p_float(params, "harmonic-tol", -1.0)
-        harmonic_tol = None if harmonic_tol <= 0 else harmonic_tol
-        ambient_mask = scene.set_mask(params["domain"])
-        s0 = scene.node_set(params["S0"])
-        v_domain = scene.lattice.with_mask(ambient_mask & ~s0.mask)
-        if not v_domain.mask.any():
-            raise PreconditionError("empty domain: ambient set minus the core is empty")
-        v = scene.field(params["v"], v_domain)
-        res = glue_green(
-            v,
-            s0=s0,
-            s=scene.node_set(params["S"]),
-            d_domain=scene.domain(params["D"]),
-            o=_p_point(params, "pole"),
-            m_v=_p_float(params, "m_v"),
-            M_v=_p_float(params, "M_v"),
-            params=_solver_params(params),
-            tol=tol,
-            cert_tol=cert_tol,
-            harmonic_tol=harmonic_tol,
-        )
-        checks.extend(res.reports)
-        constants.update(res.constants.as_dict())
-        result_field = res.field
-    elif command == "glue-full":
-        if tol is None:
-            raise ConfigValueError("glue-full needs a tolerance")
-        cert_tol = _p_float(params, "cert-tol", -1.0)
-        cert_tol = None if cert_tol <= 0 else cert_tol
-        harmonic_tol = _p_float(params, "harmonic-tol", -1.0)
-        harmonic_tol = None if harmonic_tol <= 0 else harmonic_tol
-        ambient_mask = scene.set_mask(params["domain"])
-        s0 = scene.node_set(params["S0"])
-        v_domain = scene.lattice.with_mask(ambient_mask & ~s0.mask)
-        if not v_domain.mask.any():
-            raise PreconditionError("empty domain: ambient set minus the core is empty")
-        v = scene.field(params["v"], v_domain)
-        res = glue_full(
-            v,
-            s0=s0,
-            o=_p_point(params, "pole"),
-            r=_p_float(params, "r"),
-            M_v=_p_float(params, "M_v"),
-            params=_solver_params(params),
-            tol=tol,
-            cert_tol=cert_tol,
-            harmonic_tol=harmonic_tol,
-            mean_samples=_p_int(params, "samples", 256),
-        )
-        checks.extend(res.reports)
-        constants.update(res.constants.as_dict())
-        constants["m_v"] = res.extras["m_v"]
-        result_field = res.field
-    elif command == "capacity":
-        mode = params["mode"]
-        if mode not in ("fekete", "equilibrium"):
-            raise ConfigValueError(f"unknown capacity mode {mode!r}")
-        if "support" in params:
-            points = scene.node_set(params["support"]).points()
-        elif "circle" in params:
-            spec = params["circle"]
-            if not isinstance(spec, tuple) or len(spec) != 4:
-                raise ConfigValueError("circle takes cx cy radius count")
-            cx, cy, radius, count = (float(spec[0]), float(spec[1]),
-                                     float(spec[2]), int(spec[3]))
-            ang = 2.0 * np.pi * np.arange(count) / count
-            points = np.stack(
-                [cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=1
-            )
-        else:
-            raise ConfigValueError("capacity needs a support set or a circle sampler")
-        if mode == "fekete":
-            rep = fekete_capacity(points, _p_int(params, "n"))
-            extra_records["capacity"] = {
-                "energy": rep.energy,
-                "capacity": rep.capacity,
-                "iterations": rep.iterations,
-                "converged": rep.converged,
-            }
-            pts_path = os.path.join(out_dir, "points.txt")
-            write_points(rep.points, pts_path)
-            outputs.append(pts_path)
-        else:
-            eq = equilibrium_weights(points, _p_int(params, "dim", 2))
-            extra_records["capacity"] = {
-                "energy": eq.energy,
-                "iterations": eq.iterations,
-                "converged": eq.converged,
-            }
-            pts_path = os.path.join(out_dir, "points.txt")
-            write_points(points, pts_path)
-            outputs.append(pts_path)
-            w_path = os.path.join(out_dir, "weights.txt")
-            write_points(eq.measure.weights[:, None], w_path)
-            outputs.append(w_path)
-    else:  # pragma: no cover - parse_config rejects unknown commands
-        raise ConfigValueError(f"unknown command {command!r}")
-
-    if result_field is not None:
-        field_path = os.path.join(out_dir, "field.txt")
-        write_field(result_field, field_path)
-        outputs.append(field_path)
-        if do_render:
-            png_path = os.path.join(out_dir, "field.pgm")
-            data, degenerate = render_pgm(result_field)
-            with open(png_path + ".tmp", "wb") as handle:
-                handle.write(data)
-            os.replace(png_path + ".tmp", png_path)
-            outputs.append(png_path)
-            if degenerate:
-                extra_records["render_warning"] = "empty finite range, uniform image"
-
-    hypothesis_failed = any(
-        not c.passed for c in checks if c.kind == "hypothesis"
-    )
-    conclusion_failed = any(
-        not c.passed for c in checks if c.kind == "conclusion"
-    )
-    if hypothesis_failed:
-        exit_status = EXIT_PRECONDITION
-    elif conclusion_failed:
-        exit_status = EXIT_CERTIFICATION
+def _capacity(job: _Run):
+    p = job.params
+    mode = p["mode"]
+    if mode not in ("fekete", "equilibrium"):
+        raise ConfigValueError(f"unknown capacity mode {mode!r}")
+    if "support" in p:
+        points = job.scene.node_set(p["support"]).points()
+    elif "circle" in p:
+        spec = p["circle"]
+        if not isinstance(spec, tuple) or len(spec) != 4:
+            raise ConfigValueError("circle takes cx cy radius count")
+        cx, cy, radius = (_number("circle", x) for x in spec[:3])
+        count = _number("circle", spec[3], integer=True)
+        ang = 2.0 * np.pi * np.arange(count) / count
+        points = np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=1)
     else:
-        exit_status = EXIT_OK
-    return checks, constants, outputs, extra_records, exit_status
+        raise ConfigValueError("capacity needs a support set or a circle sampler")
+    if mode == "fekete":
+        rep = fekete_capacity(points, _p_int(p, "n"))
+        job.records["capacity"] = {
+            "energy": rep.energy,
+            "capacity": rep.capacity,
+            "iterations": rep.iterations,
+            "converged": rep.converged,
+        }
+        job.emit("points.txt", write_points, rep.points)
+    else:
+        eq = equilibrium_weights(points, _p_int(p, "dim", 2))
+        job.records["capacity"] = {
+            "energy": eq.energy,
+            "iterations": eq.iterations,
+            "converged": eq.converged,
+        }
+        job.emit("points.txt", write_points, points)
+        job.emit("weights.txt", write_points, eq.measure.weights[:, None])
+
+
+# command -> handler.  Handlers reach the library through this module's
+# globals, so a name rebound here is seen by every command.
+_HANDLERS = {
+    "verify": _verify,
+    "green": _green,
+    "glue-basic": _glue_basic,
+    "glue-two": _glue_two,
+    "glue-quant": _glue_quant,
+    "glue-green": _glue_green,
+    "glue-full": _glue_full,
+    "capacity": _capacity,
+}
 
 
 def run(
@@ -418,26 +388,37 @@ def run(
     status contract (0 ok / 3 precondition / 4 certification).  The report
     written to disk omits the wall time so identical runs are byte-identical.
     """
+    if cfg.command not in _HANDLERS:
+        raise ConfigValueError(f"unknown command {cfg.command!r}")
     os.makedirs(out_dir, exist_ok=True)
-    scene = _Scene(cfg, base_dir)
+    job = _Run(_Scene(cfg, base_dir), tol, out_dir)
     start = time.monotonic()
-    checks, constants, outputs, extra, exit_status = _execute(
-        scene, tol, out_dir, do_render
-    )
+    _HANDLERS[cfg.command](job)
+    if job.field is not None:
+        job.emit("field.txt", write_field, job.field)
+        if do_render and job.emit("field.pgm", write_pgm, job.field):
+            job.records["render_warning"] = "empty finite range, uniform image"
     elapsed = time.monotonic() - start
+    failed = {c.kind for c in job.checks if not c.passed}
+    if "hypothesis" in failed:
+        exit_status = EXIT_PRECONDITION
+    elif "conclusion" in failed:
+        exit_status = EXIT_CERTIFICATION
+    else:
+        exit_status = EXIT_OK
     report = {
         "command": cfg.command,
         "echo": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.params.items()},
-        "constants": constants,
-        "checks": [c.as_record() for c in checks],
-        "outputs": [os.path.basename(p) for p in outputs],
+        "constants": job.constants,
+        "checks": [c.as_record() for c in job.checks],
+        "outputs": [os.path.basename(p) for p in job.outputs],
         "exit_status": exit_status,
     }
     if seed is not None:
         report["echo"]["seed"] = seed
-    report.update(extra)
+    report.update(job.records)
     report_path = os.path.join(out_dir, "report.json")
-    write_text_atomic(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(report, report_path)
     report["wall_time_s"] = elapsed
     report["report_path"] = report_path
     return report
@@ -445,11 +426,7 @@ def run(
 
 def render(field_path, out_path, value_range=None) -> str:
     """Render a field file to a plain PGM image; returns the output path."""
-    field = read_field(field_path)
-    data, _ = render_pgm(field, value_range=value_range)
-    with open(str(out_path) + ".tmp", "wb") as handle:
-        handle.write(data)
-    os.replace(str(out_path) + ".tmp", str(out_path))
+    write_pgm(read_field(field_path), out_path, value_range)
     return str(out_path)
 
 
@@ -462,10 +439,7 @@ def _error_report(out_dir, command, exit_status, message, tag=None):
             "checks": [],
             "exit_status": exit_status,
         }
-        write_text_atomic(
-            os.path.join(out_dir, "report.json"),
-            json.dumps(record, indent=2, sort_keys=True) + "\n",
-        )
+        write_json(record, os.path.join(out_dir, "report.json"))
     except OSError:
         pass
 

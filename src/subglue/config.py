@@ -58,7 +58,7 @@ COMMANDS = (
 FIELD_PRIMITIVES = ("constant", "kernel", "affine", "max", "scale", "offset", "file")
 
 _COMMAND_KEYS = {
-    "verify": {"field", "on", "tol", "exclude", "samples"},
+    "verify": {"field", "on", "tol", "exclude"},
     "green": {"domain", "pole", "S0", "max-iter", "rtol"},
     "glue-basic": {"u", "on", "u0", "on0", "tol", "cert-tol"},
     "glue-two": {"v", "on", "v0", "on0", "tol", "cert-tol"},

@@ -82,7 +82,8 @@ class VerificationReport:
 
 
 def check(name, tag, worst, tol, where=None, kind="conclusion", **details) -> VerificationReport:
-    """Build a report from a worst-violation magnitude."""
+    """Build a report from a worst-violation magnitude; it passes exactly
+    when ``worst <= tol``.  Every report in the package is built here."""
     worst = float(worst)
     return VerificationReport(
         name=name,
@@ -275,6 +276,11 @@ def sphere_points(center, r: float, samples: int, d: int) -> np.ndarray:
     raise PreconditionError("spherical means are implemented for d = 2 and 3")
 
 
+def _require_samples(samples: int):
+    if samples < 8:
+        raise PreconditionError("need at least 8 sphere samples")
+
+
 def spherical_mean(v: ScalarField, x, r: float, samples: int = 256) -> float:
     """Average of ``v`` over ``samples`` interpolated points of the sphere
     of radius ``r`` about ``x`` (surface measure normalized to 1).
@@ -282,8 +288,7 @@ def spherical_mean(v: ScalarField, x, r: float, samples: int = 256) -> float:
     Returns ``-inf`` when any sample hits the field's -inf set.  Raises when
     the sphere leaves interpolation reach of the active nodes.
     """
-    if samples < 8:
-        raise PreconditionError("need at least 8 sphere samples")
+    _require_samples(samples)
     if not (r > 0):
         raise PreconditionError("sphere radius must be positive")
     pts = sphere_points(x, r, samples, v.domain.dim)
@@ -301,6 +306,7 @@ def mean_inf_constant(
 ) -> float:
     """Infimum over the shell nodes of the spherical mean of ``v`` at radius
     ``r/3`` (the averaging radius is one third of the supplied ``r``)."""
+    _require_samples(samples)
     v.domain.require_same_lattice(shell.domain)
     if shell.is_empty():
         raise PreconditionError("mean-infimum over an empty shell")
@@ -428,18 +434,9 @@ def is_subharmonic(
     tested &= np.isfinite(lap)
     violation = np.where(tested, np.maximum(0.0, -lap), 0.0)
     worst = float(violation.max()) if tested.any() else 0.0
-    return VerificationReport(
-        name=name,
-        tag=tag,
-        passed=worst <= tol,
-        worst=worst,
-        tol=float(tol),
-        where=_worst_index(violation, tested),
-        kind=kind,
-        details={
-            "tested_nodes": int(tested.sum()),
-            "minus_inf_skipped": int(skipped.sum()),
-        },
+    return check(
+        name, tag, worst, tol, _worst_index(violation, tested), kind,
+        tested_nodes=int(tested.sum()), minus_inf_skipped=int(skipped.sum()),
     )
 
 
@@ -468,16 +465,9 @@ def is_harmonic(
     with np.errstate(invalid="ignore"):
         violation = np.where(tested & np.isfinite(lap), np.abs(lap), 0.0)
     violation[bad_inf] = np.inf
-    worst = float(violation.max())
-    return VerificationReport(
-        name=name,
-        tag=tag,
-        passed=worst <= tol,
-        worst=worst,
-        tol=float(tol),
-        where=_worst_index(violation, tested),
-        kind=kind,
-        details={"tested_nodes": int(tested.sum())},
+    return check(
+        name, tag, violation.max(), tol, _worst_index(violation, tested), kind,
+        tested_nodes=int(tested.sum()),
     )
 
 

@@ -37,18 +37,20 @@ __all__ = [
     "write_points",
     "read_points",
     "render_pgm",
+    "write_pgm",
+    "write_json",
     "write_text_atomic",
 ]
 
 
-def write_text_atomic(path, text: str):
+def write_text_atomic(path, text: str | bytes):
     """Write via a temp file in the same directory plus rename, so readers
-    never observe a half-written file."""
+    never observe a half-written file; bytes are written as they are."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as handle:
             handle.write(text)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
@@ -170,6 +172,7 @@ def read_points(path) -> np.ndarray:
 
 
 def write_json(record: dict, path):
+    """Indented JSON with sorted keys, so equal records give equal bytes."""
     write_text_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
@@ -214,3 +217,11 @@ def render_pgm(v: ScalarField, value_range=None) -> tuple[bytes, bool]:
         for start in range(0, width, 17):
             lines.append(" ".join(str(int(p)) for p in row[start : start + 17]))
     return ("\n".join(lines) + "\n").encode("ascii"), degenerate
+
+
+def write_pgm(v: ScalarField, path, value_range=None) -> bool:
+    """Write :func:`render_pgm` of ``v`` to ``path``; returns its
+    ``degenerate`` flag."""
+    data, degenerate = render_pgm(v, value_range)
+    write_text_atomic(path, data)
+    return degenerate

@@ -33,6 +33,7 @@ from .errors import PreconditionError
 from .field import (
     ScalarField,
     VerificationReport,
+    check,
     is_harmonic,
     is_subharmonic,
     default_certification_tol,
@@ -194,75 +195,70 @@ def _interface_report(name, tag, violation, mask, tol, kind="hypothesis") -> Ver
     else:
         worst = 0.0
         where = None
-    return VerificationReport(
-        name=name,
-        tag=tag,
-        passed=worst <= tol,
-        worst=worst,
-        tol=float(tol),
-        where=where,
-        kind=kind,
-        details={"interface_nodes": int(mask.sum())},
-    )
+    return check(name, tag, worst, tol, where, kind, interface_nodes=int(mask.sum()))
 
 
 def _region_identity_report(name, tag, glued, source, mask) -> VerificationReport:
-    """Bit-exact equality of the glued field with a source on a region."""
-    if mask.any():
-        viol = _equality_violation(glued.values[mask], source.values[mask])
-        worst = float(viol.max())
-        exact = bool(np.array_equal(glued.values[mask], source.values[mask]))
-        if exact:
-            worst = 0.0
-    else:
-        worst, exact = 0.0, True
-    return VerificationReport(
-        name=name,
-        tag=tag,
-        passed=exact,
-        worst=worst,
-        tol=0.0,
-        where=None,
-        kind="conclusion",
-        details={"region_nodes": int(mask.sum())},
-    )
+    """Bit-exact equality of the glued field with a source on a region: the
+    values differ somewhere exactly when the largest difference is positive."""
+    viol = _equality_violation(glued.values[mask], source.values[mask])
+    worst = viol.max() if viol.size else 0.0
+    return check(name, tag, worst, 0.0, region_nodes=int(mask.sum()))
 
 
-def _pole_ring_slope(
-    vals: np.ndarray, lattice: GridDomain, pole_point, pole_node, region_mask
-):
-    """Least-squares slope of the field against ``-k_{d-2}(|x - o|)`` over
-    the punctured ring ``2h <= |x - o| <= 8h``.  Returns (slope, n) or
-    (None, n) when the ring is too thin to regress."""
+def _pole_slope_report(name, tag, glued, green, region_mask, target, rel_tol=0.05):
+    """Least-squares slope of the glued field against ``-k_{d-2}(|x - o|)``
+    over the region's part of the ring ``2h <= |x - o| <= 8h``, checked
+    relative to ``target``; a ring of fewer than 8 nodes (or with no spread
+    in the profile) is too thin to regress and fails."""
+    lattice = glued.domain
     h = lattice.spacing
-    r = np.sqrt(lattice.distance2_to(pole_point))
+    r = np.sqrt(lattice.distance2_to(green.pole))
     ring = region_mask & (r >= 2.0 * h * (1 - 1e-12)) & (r <= 8.0 * h * (1 + 1e-12))
-    ring[pole_node] = False
     n = int(ring.sum())
-    if n < 8:
-        return None, n
     x = -kernel_k(lattice.dim - 2, r[ring])
-    y = vals[ring]
-    vx = float(np.var(x))
+    vx = float(np.var(x)) if n >= 8 else 0.0
     if vx == 0.0:
-        return None, n
+        return check(name, tag, math.inf, rel_tol, ring_nodes=n, reason="ring too thin")
+    y = glued.values[ring]
     slope = float(np.mean((x - x.mean()) * (y - y.mean())) / vx)
-    return slope, n
+    worst = abs(slope - target) / max(abs(target), 1e-300)
+    return check(name, tag, worst, rel_tol, ring_nodes=n, slope=slope, target=target)
 
 
-def _slope_report(name, tag, slope_info, target, rel_tol=0.05) -> VerificationReport:
-    slope, n = slope_info
-    if slope is None:
-        return VerificationReport(
-            name=name, tag=tag, passed=False, worst=math.inf, tol=rel_tol,
-            kind="conclusion", details={"ring_nodes": n, "reason": "ring too thin"},
+def _core_conclusions(
+    glued, core_mask, green, scale, tag, phrase, harmonic_tol, positivity_tol
+) -> list:
+    """The Green-gluing conclusions on a core minus the pole node: harmonic
+    (``tag + "h"``, ``harmonic_tol`` defaulting to 10 h), nonnegative
+    (``tag + "+"``), and either the pole slope ``2 * scale`` against the
+    kernel profile or, at zero scale, the collapse of the core to zero
+    (``tag + "o"``)."""
+    core_mask = core_mask & ~green.pole_set().mask
+    harmonic_tol = 10.0 * glued.spacing if harmonic_tol is None else harmonic_tol
+    core_vals = glued.values[core_mask]
+    reports = [
+        is_harmonic(
+            glued, NodeSet(glued.domain, core_mask), harmonic_tol,
+            name=f"glued field harmonic on the {phrase} off the pole", tag=tag + "h",
+        ),
+        check(
+            f"glued field nonnegative on the {phrase}", tag + "+",
+            max(0.0, -float(core_vals.min())) if core_vals.size else 0.0,
+            positivity_tol, core_nodes=int(core_vals.size),
+        ),
+    ]
+    if scale == 0.0:
+        core_abs = float(np.abs(core_vals).max()) if core_vals.size else 0.0
+        reports.append(check("zero scale collapses the core to zero", tag + "o", core_abs, 0.0))
+    else:
+        reports.append(
+            _pole_slope_report(
+                f"pole slope against the kernel profile on the {phrase}", tag + "o",
+                glued, green, core_mask, 2.0 * scale,
+            )
         )
-    denom = max(abs(target), 1e-300)
-    worst = abs(slope - target) / denom
-    return VerificationReport(
-        name=name, tag=tag, passed=worst <= rel_tol, worst=worst, tol=rel_tol,
-        kind="conclusion", details={"ring_nodes": n, "slope": slope, "target": target},
-    )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +368,13 @@ def glue_two(
     far0 = o0_mask & ~o_mask & ~near_overlap
     far1 = o_mask & ~o0_mask & ~near_overlap
     contact = far0 & _moore_adjacent_mask(far1)
+    touching = int(contact.sum())
     reports.append(
-        VerificationReport(
-            name="exclusive regions touch only through the overlap",
-            tag="contact",
-            passed=not contact.any(),
-            worst=float(contact.sum()),
-            tol=0.0,
-            where=(tuple(int(i) for i in np.argwhere(contact)[0])
-                   if contact.any() else None),
-            kind="hypothesis",
-            details={"contact_nodes": int(contact.sum())},
+        check(
+            "exclusive regions touch only through the overlap", "contact",
+            touching, 0.0,
+            tuple(int(i) for i in np.argwhere(contact)[0]) if touching else None,
+            "hypothesis", contact_nodes=touching,
         )
     )
 
@@ -518,14 +510,9 @@ def glue_quantitative(
     else:
         worst_outer = 0.0
     reports.append(
-        VerificationReport(
-            name="chain replay: inner field dominates the combined constant at the outer edge",
-            tag="3.4.outer",
-            passed=worst_outer <= tol,
-            worst=worst_outer,
-            tol=tol,
-            kind="conclusion",
-            details={"interface_nodes": int(iface0.sum())},
+        check(
+            "chain replay: inner field dominates the combined constant at the outer edge",
+            "3.4.outer", worst_outer, tol, interface_nodes=int(iface0.sum()),
         )
     )
     limsup_v0 = neighbour_max(v0, overlap_set)
@@ -538,14 +525,9 @@ def glue_quantitative(
     else:
         worst_inner = 0.0
     reports.append(
-        VerificationReport(
-            name="chain replay: inner-field limsup below the negated constant at the inner edge",
-            tag="3.4.inner",
-            passed=worst_inner <= tol,
-            worst=worst_inner,
-            tol=tol,
-            kind="conclusion",
-            details={"interface_nodes": int(iface1.sum())},
+        check(
+            "chain replay: inner-field limsup below the negated constant at the inner edge",
+            "3.4.inner", worst_inner, tol, interface_nodes=int(iface1.sum()),
         )
     )
 
@@ -613,7 +595,7 @@ def glue_green(
         raise PreconditionError(
             "pole does not lie in the grid interior of the core set", tag="4.3"
         )
-    if not s0.dilate("moore").issubset(s):
+    if not s0.compactly_inside(s):
         raise PreconditionError(
             "core set is not compactly inside the intermediate set", tag="4.3"
         )
@@ -622,11 +604,12 @@ def glue_green(
             "intermediate set leaves the ambient domain", tag="4.3"
         )
     # sandwich for the Green domain
-    if not s0.dilate("moore").issubset(NodeSet(lattice, d_domain.mask)):
+    d_set = NodeSet(lattice, d_domain.mask)
+    if not s0.compactly_inside(d_set):
         raise PreconditionError(
             "core set is not compactly inside the Green domain", tag="4.3'"
         )
-    if not NodeSet(lattice, d_domain.mask).dilate("moore").issubset(s):
+    if not d_set.compactly_inside(s):
         raise PreconditionError(
             "Green domain is not compactly inside the intermediate set", tag="4.3'"
         )
@@ -646,14 +629,9 @@ def glue_green(
     else:
         worst = 0.0
     reports.append(
-        VerificationReport(
-            name="field bounds on the intermediate shell",
-            tag="4.2'",
-            passed=worst <= tol,
-            worst=worst,
-            tol=tol,
-            kind="hypothesis",
-            details={"shell_nodes": int(shell.sum())},
+        check(
+            "field bounds on the intermediate shell", "4.2'", worst, tol,
+            kind="hypothesis", shell_nodes=int(shell.sum()),
         )
     )
 
@@ -675,14 +653,10 @@ def glue_green(
     vals[s0.mask] = v0_vals[s0.mask]
     glued = ScalarField(ambient, vals)
 
-    pole_mask = np.zeros(lattice.shape, dtype=bool)
-    pole_mask[green.pole_node] = True
-    pole_set = NodeSet(lattice, pole_mask)
-
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
     reports.append(
         is_subharmonic(
-            glued, cert_tol, exclude=pole_set,
+            glued, cert_tol, exclude=green.pole_set(),
             name="glued field subharmonic off the pole", tag="4.5",
         )
     )
@@ -692,49 +666,11 @@ def glue_green(
             "4.5=", glued, v, outer,
         )
     )
-    harmonic_tol = 10.0 * lattice.spacing if harmonic_tol is None else harmonic_tol
-    core_minus_pole = NodeSet(lattice, s0.mask & ~pole_mask)
-    reports.append(
-        is_harmonic(
-            glued, core_minus_pole, harmonic_tol,
-            name="glued field harmonic on the core off the pole", tag="4.5h",
+    reports.extend(
+        _core_conclusions(
+            glued, s0.mask, green, scale, "4.5", "core", harmonic_tol, positivity_tol
         )
     )
-    core_vals = glued.values[s0.mask & ~pole_mask]
-    pos_worst = max(0.0, -float(core_vals.min())) if core_vals.size else 0.0
-    reports.append(
-        VerificationReport(
-            name="glued field nonnegative on the core",
-            tag="4.5+",
-            passed=pos_worst <= positivity_tol,
-            worst=pos_worst,
-            tol=positivity_tol,
-            kind="conclusion",
-            details={"core_nodes": int(core_vals.size)},
-        )
-    )
-    if scale == 0.0:
-        core_abs = float(np.abs(core_vals).max()) if core_vals.size else 0.0
-        reports.append(
-            VerificationReport(
-                name="zero scale collapses the core to zero",
-                tag="4.5o",
-                passed=core_abs == 0.0,
-                worst=core_abs,
-                tol=0.0,
-                kind="conclusion",
-            )
-        )
-    else:
-        slope_info = _pole_ring_slope(
-            glued.values, lattice, green.pole, green.pole_node, s0.mask
-        )
-        reports.append(
-            _slope_report(
-                "pole slope against the kernel profile", "4.5o",
-                slope_info, 2.0 * scale,
-            )
-        )
 
     return GlueResult(
         field=glued,
@@ -823,14 +759,9 @@ def glue_full(
     else:
         worst = 0.0
     reports.append(
-        VerificationReport(
-            name="field bounded above on the r-parallel collar",
-            tag="4.9M",
-            passed=worst <= tol,
-            worst=worst,
-            tol=tol,
-            kind="hypothesis",
-            details={"collar_nodes": int(collar.sum())},
+        check(
+            "field bounded above on the r-parallel collar", "4.9M", worst, tol,
+            kind="hypothesis", collar_nodes=int(collar.sum()),
         )
     )
 
@@ -847,14 +778,9 @@ def glue_full(
             tag="4.9m",
         )
     reports.append(
-        VerificationReport(
-            name="lower mean constant is finite",
-            tag="4.9m",
-            passed=True,
-            worst=0.0,
-            tol=0.0,
-            kind="hypothesis",
-            details={"m_v": m_v, "shell_nodes": shell.count},
+        check(
+            "lower mean constant is finite", "4.9m", 0.0, 0.0,
+            kind="hypothesis", m_v=m_v, shell_nodes=shell.count,
         )
     )
 
@@ -872,41 +798,26 @@ def glue_full(
     shell_tilde = tilde.values[shell.mask]
     lower_worst = max(0.0, m_v - float(shell_tilde.min()))
     reports.append(
-        VerificationReport(
-            name="continued field dominated from below by the mean constant on the middle shell",
-            tag="cont.lower",
-            passed=lower_worst <= tol,
-            worst=lower_worst,
-            tol=tol,
-            kind="conclusion",
-            details={"shell_nodes": shell.count},
+        check(
+            "continued field dominated from below by the mean constant on the middle shell",
+            "cont.lower", lower_worst, tol, shell_nodes=shell.count,
         )
     )
     collar_tilde = tilde.values[collar]
     upper_worst = max(0.0, float(collar_tilde.max()) - M_v) if collar_tilde.size else 0.0
     reports.append(
-        VerificationReport(
-            name="continued field bounded above on the collar",
-            tag="cont.upper",
-            passed=upper_worst <= tol,
-            worst=upper_worst,
-            tol=tol,
-            kind="conclusion",
-            details={"collar_nodes": int(collar_tilde.size)},
+        check(
+            "continued field bounded above on the collar", "cont.upper",
+            upper_worst, tol, collar_nodes=int(collar_tilde.size),
         )
     )
     dom_worst = float(
         _one_sided_violation(v.values[v.domain.mask], tilde.values[v.domain.mask]).max()
     )
     reports.append(
-        VerificationReport(
-            name="continued field dominates the original",
-            tag="cont.dom",
-            passed=dom_worst <= 1e-9,
-            worst=dom_worst,
-            tol=1e-9,
-            kind="conclusion",
-            details={"max_engaged": continuation.max_engaged},
+        check(
+            "continued field dominates the original", "cont.dom", dom_worst, 1e-9,
+            max_engaged=continuation.max_engaged,
         )
     )
 
@@ -936,58 +847,15 @@ def glue_full(
     reports.extend(inner.reports)
     glued = inner.field
 
-    harmonic_tol_eff = 10.0 * h if harmonic_tol is None else harmonic_tol
-    pole_mask = np.zeros(lattice.shape, dtype=bool)
-    pole_mask[inner.pole_node] = True
-    reports.append(
-        is_harmonic(
-            glued,
-            NodeSet(lattice, s0.mask & ~pole_mask),
-            harmonic_tol_eff,
-            name="glued field harmonic on the original core off the pole",
-            tag="4.11h",
-        )
+    harmonic, positive, slope = _core_conclusions(
+        glued, s0.mask, inner.green, inner.constants.scale, "4.11", "original core",
+        harmonic_tol, positivity_tol,
     )
-    core_vals = glued.values[s0.mask & ~pole_mask]
-    pos_worst = max(0.0, -float(core_vals.min())) if core_vals.size else 0.0
-    reports.append(
-        VerificationReport(
-            name="glued field nonnegative on the original core",
-            tag="4.11+",
-            passed=pos_worst <= positivity_tol,
-            worst=pos_worst,
-            tol=positivity_tol,
-            kind="conclusion",
-        )
+    identity = _region_identity_report(
+        "glued field equals the original outside the r-parallel set",
+        "4.11=", glued, v, o_mask & ~p_full.mask,
     )
-    outside = o_mask & ~p_full.mask
-    reports.append(
-        _region_identity_report(
-            "glued field equals the original outside the r-parallel set",
-            "4.11=", glued, v, outside,
-        )
-    )
-    scale = inner.constants.scale
-    if scale == 0.0:
-        core_abs = float(np.abs(core_vals).max()) if core_vals.size else 0.0
-        reports.append(
-            VerificationReport(
-                name="zero scale collapses the core to zero",
-                tag="4.11o", passed=core_abs == 0.0, worst=core_abs, tol=0.0,
-                kind="conclusion",
-            )
-        )
-    else:
-        green = inner.green
-        slope_info = _pole_ring_slope(
-            glued.values, lattice, green.pole, green.pole_node, s0.mask
-        )
-        reports.append(
-            _slope_report(
-                "pole slope against the kernel profile on the original core",
-                "4.11o", slope_info, 2.0 * scale,
-            )
-        )
+    reports.extend([harmonic, positive, identity, slope])
 
     return GlueResult(
         field=glued,

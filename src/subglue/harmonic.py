@@ -206,6 +206,12 @@ class GreenField:
     def values(self) -> np.ndarray:
         return self.field.values
 
+    def pole_set(self) -> NodeSet:
+        """The pole node as a one-node set on the host lattice."""
+        mask = np.zeros(self.domain.shape, dtype=bool)
+        mask[self.pole_node] = True
+        return NodeSet(self.field.domain, mask)
+
     def metadata(self) -> dict:
         return {
             "pole": list(self.pole.coords),
@@ -291,7 +297,7 @@ def green_min_constant(g: GreenField, s0: NodeSet) -> float:
     s0.domain.require_same_lattice(g.domain)
     if s0.is_empty():
         raise PreconditionError("core set is empty")
-    if not s0.dilate("moore").issubset(g.domain.active_set()):
+    if not s0.compactly_inside(g.domain.active_set()):
         raise PreconditionError("core set is not compactly inside the Green domain")
     ring = s0.inner_boundary()
     if ring.is_empty():

@@ -293,3 +293,65 @@ def test_seed_is_echoed_not_used(tmp_path):
     a = (tmp_path / "s" / "field.txt").read_bytes()
     b = (tmp_path / "s2" / "field.txt").read_bytes()
     assert a == b  # the seed changes nothing but the echo
+
+
+GLUE_FULL_SMALL = """
+grid {
+  origin -1 -1
+  spacing 0.015625
+  shape 129 129
+}
+set O  { add ball 0 0 1 }
+set S0 { add ball 0 0 0.15 }
+field v { kernel 2 0 0 }
+command glue-full {
+  v v
+  domain O
+  S0 S0
+  pole 0 0
+  r 0.3
+  M_v -0.7985
+  tol 0.01
+  samples 0
+}
+"""
+
+
+def test_glue_full_too_few_samples_exits_precondition(tmp_path):
+    cfg = write_cfg(tmp_path, GLUE_FULL_SMALL)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == 3
+    assert "at least 8 sphere samples" in report["error"]["message"]
+
+
+CAPACITY_CIRCLE = """
+grid {
+  origin -1 -1
+  spacing 0.5
+  shape 5 5
+}
+command capacity {
+  mode fekete
+  circle 0 0 1 64
+  n 8
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("circle 0 0 1 64", "circle 0 0 1 4.5", "circle"),
+        ("circle 0 0 1 64", "circle 0 0 1 x", "circle"),
+        ("circle 0 0 1 64", "circle 0 x 1 64", "circle"),
+        ("n 8", "n 3.7", "n"),
+        ("n 8", "n inf", "n"),
+    ],
+)
+def test_bad_numbers_exit_config_status(tmp_path, capsys, old, new, key):
+    cfg = write_cfg(tmp_path, CAPACITY_CIRCLE.replace(old, new))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"key {key!r}" in capsys.readouterr().err

@@ -129,6 +129,13 @@ command green {
         parse_config(cfg)
 
 
+def test_verify_rejects_samples():
+    # verify never read a sample count; it is no longer accepted
+    bad = MINIMAL.replace("  tol 1e-6\n", "  tol 1e-6\n  samples 64\n")
+    with pytest.raises(ConfigValueError, match="command 'verify' does not take 'samples'"):
+        parse_config(bad)
+
+
 def test_grid_invariants():
     bad = MINIMAL.replace("spacing 0.25", "spacing -0.25")
     with pytest.raises(ConfigValueError, match="positive"):

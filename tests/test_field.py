@@ -356,6 +356,20 @@ def test_mean_inf_constant_constant_field():
     assert mean_inf_constant(v, shell, 0.3) == pytest.approx(-1.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("samples", [0, 4])
+def test_mean_inf_constant_needs_eight_samples(samples):
+    # the same floor as spherical_mean; fewer samples used to reach the
+    # interpolation with an empty or undersampled sphere
+    dom = disk_domain(1.0, h=1 / 32)
+    v = ScalarField.constant(dom, -1.25)
+    rr = np.sqrt(dom.distance2_to((0, 0)))
+    shell = NodeSet(dom, dom.mask & (rr > 0.4) & (rr < 0.6))
+    with pytest.raises(PreconditionError, match="at least 8"):
+        mean_inf_constant(v, shell, 0.3, samples=samples)
+    with pytest.raises(PreconditionError, match="at least 8"):
+        spherical_mean(v, (0.0, 0.0), 0.3, samples=samples)
+
+
 def test_mean_inf_constant_harmonic_equals_min():
     dom = disk_domain(1.0, h=1 / 64)
     v = ScalarField.affine(dom, (1.0, 0.0), 0.0)
