@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _WEIGHT_EPS = 1e-12
+# Sphere sample points handled per block of mean_inf_constant centres.  One
+# block's corner arrays hold at most this many points times 2**d entries,
+# which with a few lattice-sized arrays bounds the stage's memory.
+_MEAN_BLOCK_POINTS = 2**15
 
 
 @dataclass
@@ -202,6 +206,41 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 
+def _strides(shape) -> np.ndarray:
+    """Flat-index strides of a C-ordered lattice of the given shape."""
+    return np.array(
+        [int(np.prod(shape[k + 1 :], dtype=np.int64)) for k in range(len(shape))]
+    )
+
+
+def _lattice_coords(dom: GridDomain, pts: np.ndarray) -> np.ndarray:
+    """Points in lattice units; raises when one leaves the lattice box."""
+    t = (pts - dom.origin.as_array()) / dom.spacing
+    pad = 1e-9  # tolerate points that sit on the outer gridline
+    lo = -pad
+    hi = np.asarray(dom.shape, dtype=float) - 1.0 + pad
+    if np.any(t < lo) or np.any(t > hi):
+        raise PreconditionError("interpolation point leaves the lattice box")
+    return t
+
+
+def _corners(base: np.ndarray, frac: np.ndarray, strides: np.ndarray):
+    """Multilinear weights and flat indices, both (m, 2**d), of the cell
+    corners of m points with integer cell origin ``base`` and position
+    ``frac`` in the cell."""
+    m, d = base.shape
+    weights = np.ones((m, 1))
+    flat_index = np.zeros((m, 1), dtype=np.int64)
+    for k in range(d):
+        w_axis = np.stack([1.0 - frac[:, k], frac[:, k]], axis=1)
+        idx_axis = np.stack([base[:, k], base[:, k] + 1], axis=1)
+        weights = (weights[:, :, None] * w_axis[:, None, :]).reshape(m, -1)
+        flat_index = (
+            flat_index[:, :, None] + (idx_axis * strides[k])[:, None, :]
+        ).reshape(m, -1)
+    return weights, flat_index
+
+
 def interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of ``v`` at an (m, d) array of points.
 
@@ -212,30 +251,11 @@ def interpolate(v: ScalarField, points: np.ndarray) -> np.ndarray:
     corner at ``-inf`` with positive weight makes the result ``-inf``.
     """
     dom = v.domain
-    d = dom.dim
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    t = (pts - dom.origin.as_array()) / dom.spacing
-    pad = 1e-9  # tolerate points that sit on the outer gridline
-    lo = -pad
-    hi = np.asarray(dom.shape, dtype=float) - 1.0 + pad
-    if np.any(t < lo) or np.any(t > hi):
-        raise PreconditionError("interpolation point leaves the lattice box")
+    t = _lattice_coords(dom, pts)
     base = np.clip(np.floor(t).astype(int), 0, np.asarray(dom.shape) - 2)
     frac = np.clip(t - base, 0.0, 1.0)
-
-    weights = np.ones((m, 1))
-    flat_index = np.zeros((m, 1), dtype=np.int64)
-    strides = np.array(
-        [int(np.prod(dom.shape[k + 1 :], dtype=np.int64)) for k in range(d)]
-    )
-    for k in range(d):
-        w_axis = np.stack([1.0 - frac[:, k], frac[:, k]], axis=1)
-        idx_axis = np.stack([base[:, k], base[:, k] + 1], axis=1)
-        weights = (weights[:, :, None] * w_axis[:, None, :]).reshape(m, -1)
-        flat_index = (
-            flat_index[:, :, None] + (idx_axis * strides[k])[:, None, :]
-        ).reshape(m, -1)
+    weights, flat_index = _corners(base, frac, _strides(dom.shape))
 
     corner_active = dom.mask.ravel()[flat_index]
     corner_vals = v.values.ravel()[flat_index]
@@ -305,7 +325,15 @@ def mean_inf_constant(
     v: ScalarField, shell: NodeSet, r: float, samples: int = 256
 ) -> float:
     """Infimum over the shell nodes of the spherical mean of ``v`` at radius
-    ``r/3`` (the averaging radius is one third of the supplied ``r``)."""
+    ``r/3`` (the averaging radius is one third of the supplied ``r``).
+
+    The values are those of ``spherical_mean`` at every shell node.  The
+    sample points' corner weights relative to a lattice node are the same
+    for every node, so they are summed once into a stencil; centres whose
+    stencil leaves the lattice box or touches an inactive node are
+    interpolated point by point instead.  Centres go in blocks of a fixed
+    number of sample points, so memory does not grow with the shell.
+    """
     _require_samples(samples)
     v.domain.require_same_lattice(shell.domain)
     if shell.is_empty():
@@ -313,19 +341,79 @@ def mean_inf_constant(
     radius = r / 3.0
     if not (radius > 0):
         raise PreconditionError("averaging radius must be positive")
-    centers = shell.points()
-    d = v.domain.dim
-    all_pts = np.concatenate(
-        [sphere_points(c, radius, samples, d) for c in centers], axis=0
-    )
+    dom = v.domain
+    d = dom.dim
+    # c + radius * directions gives exactly the points sphere_points(c, ...)
+    directions = sphere_points((0.0,) * d, 1.0, samples, d)
+    nodes = shell.indices()
+    centres = shell.points()
     try:
-        vals = interpolate(v, all_pts)
+        # rounding is monotone, so each sphere's extreme coordinates are
+        # those of its centre plus the extreme directions: testing these
+        # tests every sample point against the lattice box
+        _lattice_coords(dom, centres + radius * directions.min(axis=0))
+        _lattice_coords(dom, centres + radius * directions.max(axis=0))
     except PreconditionError as exc:
         raise PreconditionError(f"sphere exits domain: {exc}") from exc
-    vals = vals.reshape(len(centers), samples)
-    if np.any(vals == -np.inf):
-        return -math.inf
-    return float(vals.mean(axis=1).min())
+
+    strides = _strides(dom.shape)
+    offsets, weights, absorbs, lo, hi = _sphere_stencil(
+        radius * directions / dom.spacing, strides
+    )
+    active = dom.mask.ravel()
+    values = v.values.ravel()
+    safe = np.where(active & np.isfinite(values), values, 0.0)
+    minus_inf = values == -np.inf
+    means = np.empty(len(nodes))
+    block = max(1, _MEAN_BLOCK_POINTS // samples)
+
+    # fast path: centres whose whole stencil lies in the lattice box on
+    # active nodes take the stencil sum; the others are interpolated exactly
+    in_box = np.all((nodes + lo >= 0) & (nodes + hi < dom.shape), axis=1)
+    inside = np.flatnonzero(in_box)
+    exact = [np.flatnonzero(~in_box)]
+    for start in range(0, len(inside), block):
+        ids = inside[start : start + block]
+        idx = (nodes[ids] @ strides)[:, None] + offsets
+        means[ids] = safe[idx] @ weights / samples
+        means[ids[minus_inf[idx[:, absorbs]].any(axis=1)]] = -np.inf
+        exact.append(ids[~active[idx].all(axis=1)])
+
+    # centres near inactive nodes: renormalized interpolation, as spherical_mean
+    exact = np.concatenate(exact)
+    for start in range(0, len(exact), block):
+        ids = exact[start : start + block]
+        pts = (centres[ids, None, :] + radius * directions).reshape(-1, d)
+        try:
+            vals = interpolate(v, pts)
+        except PreconditionError as exc:
+            raise PreconditionError(f"sphere exits domain: {exc}") from exc
+        means[ids] = vals.reshape(len(ids), samples).mean(axis=1)
+    return float(means.min())
+
+
+def _sphere_stencil(u: np.ndarray, strides: np.ndarray):
+    """The multilinear stencil of sphere points ``u`` given in lattice units
+    relative to a lattice node.
+
+    Returns the flat offsets of the corners with positive weight, their
+    summed weights, whether some single point gives the corner more than
+    ``_WEIGHT_EPS`` (so a -inf there absorbs the mean), and the lowest and
+    highest per-axis corner offsets.  Offsets are merged by flat index; two
+    different corners can share one only when the stencil spans more than
+    the lattice box, and then no centre takes the stencil path.
+    """
+    base = np.floor(u).astype(np.int64)
+    corner_w, corner_off = _corners(base, u - base, strides)
+    offsets, inverse = np.unique(corner_off.ravel(), return_inverse=True)
+    weights = np.bincount(inverse, weights=corner_w.ravel())
+    largest = np.zeros_like(weights)
+    np.maximum.at(largest, inverse, corner_w.ravel())
+    keep = weights > 0
+    return (
+        offsets[keep], weights[keep], largest[keep] > _WEIGHT_EPS,
+        base.min(axis=0), base.max(axis=0) + 1,
+    )
 
 
 # ---------------------------------------------------------------------------

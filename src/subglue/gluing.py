@@ -539,6 +539,11 @@ def glue_quantitative(
 # ---------------------------------------------------------------------------
 
 
+def _require_pole_dimension(domain: GridDomain, o):
+    if as_point(o).dim != domain.dim:
+        raise PreconditionError("pole dimension does not match the grid")
+
+
 def _snap_to_lattice(domain: GridDomain, p) -> tuple:
     p = as_point(p)
     idx = []
@@ -581,6 +586,7 @@ def glue_green(
     """
     params = params or SolverParams()
     lattice = v.domain
+    _require_pole_dimension(lattice, o)
     lattice.require_same_lattice(s0.domain)
     lattice.require_same_lattice(s.domain)
     lattice.require_same_lattice(d_domain)
@@ -722,6 +728,7 @@ def glue_full(
     """
     params = params or SolverParams()
     lattice = v.domain
+    _require_pole_dimension(lattice, o)
     lattice.require_same_lattice(s0.domain)
     if np.any(v.domain.mask & s0.mask):
         raise PreconditionError("field must be defined off the core set")

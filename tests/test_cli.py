@@ -355,3 +355,22 @@ def test_bad_numbers_exit_config_status(tmp_path, capsys, old, new, key):
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
     assert f"key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, pole",
+    [
+        (GLUE_GREEN_BAD_POLE.replace("pole 0.9 0", "pole 0"), "0"),
+        (GLUE_FULL_SMALL.replace("  samples 0\n", "").replace("pole 0 0", "pole 0"), "0"),
+        (GLUE_FULL_SMALL.replace("  samples 0\n", "").replace("pole 0 0", "pole 0 0 5"), "0 0 5"),
+    ],
+    ids=["glue-green-1d", "glue-full-1d", "glue-full-3d"],
+)
+def test_pole_dimension_mismatch_exits_precondition(tmp_path, text, pole):
+    assert f"pole {pole}\n" in text
+    cfg = write_cfg(tmp_path, text)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == 3
+    assert report["error"]["message"] == "pole dimension does not match the grid"
