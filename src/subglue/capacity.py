@@ -11,7 +11,13 @@ probability simplex by projected gradient ascent (the quadratic form is
 concave for these kernels, so the ascent reaches the global maximum), and
 ``fekete_capacity`` estimates the capacity of a planar candidate set by a
 greedy-plus-exchange search for an n-point configuration maximizing the sum
-of pairwise log distances.
+of pairwise log distances.  It holds only the log-distance columns of the n
+selected points, so m candidates take O(m n) memory.
+
+The energies and the equilibrium weights build m x m arrays over their m
+support points.  Every such array, and Fekete's m x n block, is checked
+against a fixed budget of 512 MiB before it is allocated; a larger request
+raises a ``PreconditionError`` that names the size.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class DiscreteMeasure:
             raise PreconditionError("support and weight counts differ")
         if support.shape[0] < 1:
             raise PreconditionError("measure needs at least one support point")
+        _require_finite(support, "support")
         if np.any(weights < -1e-15):
             raise PreconditionError("weights must be nonnegative")
         weights = np.maximum(weights, 0.0)
@@ -114,20 +121,49 @@ class EquilibriumResult:
     converged: bool
 
 
+# largest single array the estimators below may allocate; a call that needs
+# more fails up front with a PreconditionError instead of exhausting memory
+_MEMORY_BUDGET = 1 << 29
+
+# entries per row block of the farthest-pair scan
+_PAIR_BLOCK = 1 << 20
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise before allocating ``what`` when its ``nbytes`` exceed the budget."""
+    if nbytes > _MEMORY_BUDGET:
+        raise PreconditionError(
+            f"{what} needs {nbytes:,} bytes, above the {_MEMORY_BUDGET:,}-byte budget"
+        )
+
+
+def _require_finite(pts: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(pts)):
+        raise PreconditionError(f"{what} points must be finite")
+
+
 def _pairwise_dist2(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    m = pts.shape[0]
+    _require_memory(8 * m * m, f"a {m} x {m} pairwise distance array")
+    diff = np.subtract.outer(pts[:, 0], pts[:, 0])
+    d2 = diff * diff
+    for k in range(1, pts.shape[1]):
+        np.subtract.outer(pts[:, k], pts[:, k], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def _kernel_matrix(support: np.ndarray, d: int) -> np.ndarray:
     """Kernel values on pairs, the diagonal regularized at half the
     nearest-neighbour distance."""
-    dist = np.sqrt(_pairwise_dist2(support))
-    n = dist.shape[0]
-    off = dist + np.eye(n)  # placeholder 1 on the diagonal, overwritten below
-    a = kernel_k(d - 2, off)
-    nearest = np.where(np.eye(n, dtype=bool), np.inf, dist).min(axis=1)
-    a[np.eye(n, dtype=bool)] = kernel_k(d - 2, nearest / 2.0)
+    dist = _pairwise_dist2(support)
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    nearest = dist.min(axis=1)
+    np.fill_diagonal(dist, 1.0)  # placeholder, overwritten below
+    a = kernel_k(d - 2, dist)
+    np.fill_diagonal(a, kernel_k(d - 2, nearest / 2.0))
     return a
 
 
@@ -195,6 +231,7 @@ def equilibrium_weights(
     support = np.atleast_2d(np.asarray(support, dtype=float))
     if support.shape[0] < 2:
         raise PreconditionError("equilibrium weights need at least 2 points")
+    _require_finite(support, "support")
     if d < 2:
         raise PreconditionError("equilibrium weights need dimension d >= 2")
     a = _kernel_matrix(support, d)
@@ -207,12 +244,14 @@ def equilibrium_weights(
     del centred
     step = 1.0 / lip if lip > 0 else 1.0
     w = np.full(n, 1.0 / n)
-    energy = float(w @ a @ w)
+    aw = a @ w
+    energy = float(w @ aw)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w_next = project_simplex(w + step * 2.0 * (a @ w))
-        e_next = float(w_next @ a @ w_next)
+        w_next = project_simplex(w + step * 2.0 * aw)
+        aw = a @ w_next
+        e_next = float(w_next @ aw)
         delta = abs(e_next - energy)
         move = float(np.abs(w_next - w).max())
         w, energy = w_next, e_next
@@ -231,6 +270,48 @@ def _candidate_points(s) -> np.ndarray:
     return np.atleast_2d(np.asarray(s, dtype=float))
 
 
+def _farthest_pair(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    """The first (i, j) in row-major order with the largest squared distance
+    ``dx*dx + dy*dy``, i != j: the pair ``argmax`` picks from the dense
+    matrix with a -inf diagonal, found without building that matrix."""
+    cx, cy = x.mean(), y.mean()
+    dx, dy = x - cx, y - cy
+    r = np.sqrt(dx * dx + dy * dy)
+    p = int(np.argmax(r))
+    radius = float(r[p])
+    dx, dy = x - x[p], y - y[p]
+    far = math.sqrt(float((dx * dx + dy * dy).max()))
+    # |x_i - x_j| <= r_i + radius, so both ends of any pair at least `far`
+    # apart lie at least far - radius from the centroid; the slack covers
+    # rounding in r, far and the centroid
+    slack = 1e-9 * (far + radius + abs(cx) + abs(cy))
+    keep = np.flatnonzero(r >= far - radius - slack)
+    xs, ys = x[keep], y[keep]
+    k = keep.size
+    rows = max(1, _PAIR_BLOCK // k)
+    best, pair = -np.inf, (0, 1)
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        dx = np.subtract.outer(xs[lo:hi], xs)
+        dy = np.subtract.outer(ys[lo:hi], ys)
+        d2 = dx * dx + dy * dy
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+        flat = int(np.argmax(d2))
+        if d2.flat[flat] > best:
+            best = d2.flat[flat]
+            i, j = divmod(flat, k)
+            pair = (int(keep[lo + i]), int(keep[j]))
+    return pair
+
+
+def _log_column(x: np.ndarray, y: np.ndarray, c: int) -> np.ndarray:
+    """Log distances from candidate ``c`` to every candidate, -inf at ``c``
+    itself and at any duplicate of it."""
+    dx, dy = x - x[c], y - y[c]
+    with np.errstate(divide="ignore"):
+        return 0.5 * np.log(dx * dx + dy * dy)
+
+
 def fekete_capacity(
     s,
     n: int,
@@ -244,6 +325,10 @@ def fekete_capacity(
     configuration by steepest-ascent point exchanges until no swap helps.
     The capacity estimate is ``exp(mean pairwise log distance)``, i.e. the
     n-point diameter of the selected configuration.
+
+    Memory is O(m n): only the log-distance columns of the ``n`` selected
+    points are held, and the starting farthest pair is found by a blocked
+    scan of the candidates that can belong to it.
     """
     if d != 2:
         raise PreconditionError("Fekete capacity estimation is planar only (d = 2)")
@@ -252,30 +337,34 @@ def fekete_capacity(
     cand = _candidate_points(s)
     if cand.shape[1] != 2:
         raise PreconditionError("candidate points must be planar")
+    _require_finite(cand, "candidate")
     m = cand.shape[0]
     if m < n:
         raise PreconditionError(f"only {m} candidate points for n = {n}")
+    _require_memory(8 * m * n, f"a {m} x {n} log-distance block")
+    x, y = cand.T.copy()
 
     # greedy: start from the farthest pair, then add the point with the
-    # largest log-distance sum to the current selection
-    d2 = _pairwise_dist2(cand)
-    np.fill_diagonal(d2, -np.inf)
-    i0, j0 = np.unravel_index(np.argmax(d2), d2.shape)
-    selected = [int(i0), int(j0)]
-    with np.errstate(divide="ignore"):
-        logd = 0.5 * np.log(np.maximum(d2, 0.0))
-    np.fill_diagonal(logd, -np.inf)
-    score = logd[:, selected].sum(axis=1)
+    # largest log-distance sum to the current selection.  cols[:, k] holds
+    # the log distances to the k-th selected point.
+    i0, j0 = _farthest_pair(x, y)
+    cols = np.empty((m, n))
+    cols[:, 0] = _log_column(x, y, i0)
+    cols[:, 1] = _log_column(x, y, j0)
+    selected = [i0, j0]
+    score = cols[:, 0] + cols[:, 1]
     score[selected] = -np.inf
     while len(selected) < n:
         nxt = int(np.argmax(score))
+        col = _log_column(x, y, nxt)
+        cols[:, len(selected)] = col
+        score += col
         selected.append(nxt)
-        score = score + logd[:, nxt]
         score[nxt] = -np.inf
 
     sel = np.array(selected)
-    colsum = logd[:, sel].sum(axis=1)  # per candidate, sum over selected
-    pair = logd[np.ix_(sel, sel)]
+    colsum = cols.sum(axis=1)  # per candidate, sum over selected
+    pair = cols[sel]
     rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
 
     swaps = 0
@@ -285,8 +374,9 @@ def fekete_capacity(
         # log distances (duplicate positions) can only lose, so any NaN from
         # inf arithmetic means "never pick this swap"
         with np.errstate(invalid="ignore"):
-            delta = (colsum[None, :] - logd[:, sel].T) - rowsum[:, None]
-        delta = np.where(np.isfinite(delta), delta, -np.inf)
+            delta = colsum[None, :] - cols.T
+            delta -= rowsum[:, None]
+        delta[~np.isfinite(delta)] = -np.inf
         delta[:, sel] = -np.inf
         j, c = np.unravel_index(np.argmax(delta), delta.shape)
         if not (delta[j, c] > 1e-12):
@@ -294,8 +384,9 @@ def fekete_capacity(
             break
         sel[j] = c
         swaps += 1
-        colsum = logd[:, sel].sum(axis=1)
-        pair = logd[np.ix_(sel, sel)]
+        cols[:, j] = _log_column(x, y, c)
+        colsum = cols.sum(axis=1)
+        pair = cols[sel]
         rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
 
     total = 0.5 * float(np.where(np.isfinite(pair), pair, 0.0).sum())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from subglue import (
     fekete_capacity,
     mutual_energy,
 )
-from subglue.capacity import project_simplex
+from subglue import capacity as capacity_module
+from subglue.capacity import _kernel_matrix, project_simplex
+from subglue.kernels import kernel_k
 
 
 def roots_of_unity(n, radius=1.0):
@@ -164,8 +167,6 @@ def test_equilibrium_matches_simplex_grid_search():
         pts = rng.uniform(-1, 1, size=(3, 2))
         res = equilibrium_weights(pts, 2)
         best = -np.inf
-        from subglue.capacity import _kernel_matrix
-
         a = _kernel_matrix(pts, 2)
         for i in range(101):
             for j in range(101 - i):
@@ -183,6 +184,8 @@ def test_equilibrium_step_does_not_depend_on_dilation():
     runs = {s: equilibrium_weights(s * segment, 2) for s in (0.5, 1.0, 2.0)}
     assert runs[0.5].converged
     assert len({res.iterations for res in runs.values()}) == 1
+    # one matvec per step: the energy comes from the next gradient's product
+    assert runs[1.0].iterations == 4379
     for s, res in runs.items():
         assert np.exp(res.energy) == pytest.approx(s / 2.0, rel=0.02)
 
@@ -241,3 +244,165 @@ def test_fekete_preconditions():
         fekete_capacity(pts, 2)
     with pytest.raises(PreconditionError):
         fekete_capacity(np.zeros((10, 3)), 4)  # planar only
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_are_rejected(bad):
+    pts = roots_of_unity(16)
+    pts[3, 1] = bad
+    with pytest.raises(PreconditionError, match="must be finite"):
+        fekete_capacity(pts, 4)
+    with pytest.raises(PreconditionError, match="must be finite"):
+        equilibrium_weights(pts, 2)
+    with pytest.raises(PreconditionError, match="must be finite"):
+        DiscreteMeasure.uniform(pts)
+
+
+# ---------------------------------------------------------------------------
+# dense references and the memory guard
+# ---------------------------------------------------------------------------
+
+
+def dense_kernel_matrix(support, d):
+    """The m x m x d difference-array construction the kernel matrix
+    replaced, kept as its bit-for-bit reference."""
+    diff = support[:, None, :] - support[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    n = dist.shape[0]
+    a = kernel_k(d - 2, dist + np.eye(n))
+    nearest = np.where(np.eye(n, dtype=bool), np.inf, dist).min(axis=1)
+    a[np.eye(n, dtype=bool)] = kernel_k(d - 2, nearest / 2.0)
+    return a
+
+
+def dense_fekete(cand, n, max_passes=200):
+    """The O(m^2)-memory Fekete search over the full log-distance matrix,
+    kept as the bit-for-bit reference of ``fekete_capacity``."""
+    diff = cand[:, None, :] - cand[None, :, :]
+    d2 = np.sum(diff * diff, axis=-1)
+    np.fill_diagonal(d2, -np.inf)
+    i0, j0 = np.unravel_index(np.argmax(d2), d2.shape)
+    selected = [int(i0), int(j0)]
+    with np.errstate(divide="ignore"):
+        logd = 0.5 * np.log(np.maximum(d2, 0.0))
+    np.fill_diagonal(logd, -np.inf)
+    score = logd[:, selected].sum(axis=1)
+    score[selected] = -np.inf
+    while len(selected) < n:
+        nxt = int(np.argmax(score))
+        selected.append(nxt)
+        score = score + logd[:, nxt]
+        score[nxt] = -np.inf
+    sel = np.array(selected)
+    colsum = logd[:, sel].sum(axis=1)
+    pair = logd[np.ix_(sel, sel)]
+    rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
+    swaps = 0
+    converged = False
+    for _ in range(max_passes):
+        with np.errstate(invalid="ignore"):
+            delta = (colsum[None, :] - logd[:, sel].T) - rowsum[:, None]
+        delta = np.where(np.isfinite(delta), delta, -np.inf)
+        delta[:, sel] = -np.inf
+        j, c = np.unravel_index(np.argmax(delta), delta.shape)
+        if not (delta[j, c] > 1e-12):
+            converged = True
+            break
+        sel[j] = c
+        swaps += 1
+        colsum = logd[:, sel].sum(axis=1)
+        pair = logd[np.ix_(sel, sel)]
+        rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
+    total = 0.5 * float(np.where(np.isfinite(pair), pair, 0.0).sum())
+    energy = 2.0 * total / (n * (n - 1))
+    return energy, math.exp(energy), swaps, converged, cand[sel]
+
+
+def _fekete_cases():
+    rng = np.random.default_rng(41)
+    for k in range(4):
+        m = int(rng.integers(40, 500))
+        cloud = rng.normal(size=(m, 2)) * rng.uniform(0.1, 10.0) + rng.uniform(-5, 5, 2)
+        yield f"cloud{k}", cloud, int(rng.integers(3, 30))
+    yield "far-offset", rng.uniform(-1, 1, (300, 2)) + 1e6, 8
+    base = rng.uniform(-1, 1, (80, 2))
+    yield "duplicates", np.vstack([base, base[:30], base[5:10]]), 20
+    yield "all-equal", np.zeros((10, 2)), 4
+    t = np.linspace(0.0, 1.0, 200)
+    line = np.stack([t, 2.0 * t + 1.0], axis=1)
+    yield "collinear", line, 12
+    yield "collinear-shuffled", line[rng.permutation(200)], 12
+    square = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.2, 0.7]], dtype=float)
+    yield "tied-square", square, 3
+    grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), axis=-1).reshape(-1, 2)
+    yield "tied-grid", grid, 10
+    # every candidate lies on the farthest-pair ring, so none is pruned
+    yield "circle", roots_of_unity(512), 64
+    yield "half-circle", roots_of_unity(512)[:256], 16
+
+
+FEKETE_CASES = list(_fekete_cases())
+
+
+@pytest.mark.parametrize(
+    "cand, n", [case[1:] for case in FEKETE_CASES], ids=[case[0] for case in FEKETE_CASES]
+)
+def test_fekete_is_bit_identical_to_dense_search(cand, n, monkeypatch):
+    energy, capacity, swaps, converged, points = dense_fekete(cand, n)
+    # the default block scans these sets in one block; 7 entries per block
+    # splits the farthest-pair scan into one row per block
+    for block in (capacity_module._PAIR_BLOCK, 7):
+        monkeypatch.setattr(capacity_module, "_PAIR_BLOCK", block)
+        rep = fekete_capacity(cand, n)
+        assert rep.energy == energy
+        assert rep.capacity == capacity
+        assert rep.iterations == swaps
+        assert rep.converged == converged
+        assert np.array_equal(rep.points, points)
+
+
+def test_kernel_matrix_is_bit_identical_to_difference_array():
+    rng = np.random.default_rng(43)
+    for dim in (2, 3):
+        pts = rng.uniform(-1, 1, size=(150, dim))
+        assert np.array_equal(_kernel_matrix(pts, dim), dense_kernel_matrix(pts, dim))
+
+
+def test_fekete_lattice_disk_memory_is_linear():
+    # ~20k candidates: the dense search's m x m x 2 difference array alone
+    # took 6.4 GB; the column block is 20k x 32 doubles (5 MB)
+    g = np.arange(-80, 81) / 80.0
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    disk = grid[np.sum(grid * grid, axis=1) < 1.0]
+    assert 19_000 < disk.shape[0] < 21_000
+    tracemalloc.start()
+    try:
+        rep = fekete_capacity(disk, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+    assert rep.converged
+    assert rep.capacity == pytest.approx(32.0 ** (1.0 / 31.0), rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "call, m, n",
+    [
+        (lambda pts: fekete_capacity(pts, pts.shape[0]), 8200, 8200),
+        (lambda pts: equilibrium_weights(pts, 2), 8193, 8193),
+        (lambda pts: DiscreteMeasure.uniform(pts), 8193, 8193),
+    ],
+    ids=["fekete", "equilibrium", "measure"],
+)
+def test_memory_guard_names_the_estimate_before_allocating(call, m, n):
+    pts = roots_of_unity(m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as info:
+            call(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"needs {8 * m * n:,} bytes" in str(info.value)
+    assert peak < 5e6

@@ -272,6 +272,18 @@ def test_glue_full_demo_scene_exits_zero(tmp_path):
     assert all(seen[t] for t in conclusion_tags)
 
 
+def test_capacity_demo_scene_exits_zero(tmp_path):
+    import pathlib
+
+    cfg = pathlib.Path(__file__).parent.parent / "demos" / "scene_configs" / "capacity_disk.cfg"
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["capacity"]["converged"]
+    assert report["capacity"]["capacity"] == pytest.approx(32 ** (1 / 31), rel=0.01)
+
+
 def test_console_module_smoke(tmp_path):
     cfg = write_cfg(tmp_path, VERIFY_CONCAVE)
     _write_concave_file(tmp_path)
@@ -374,3 +386,16 @@ def test_pole_dimension_mismatch_exits_precondition(tmp_path, text, pole):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == 3
     assert report["error"]["message"] == "pole dimension does not match the grid"
+
+
+def test_capacity_over_memory_budget_exits_precondition(tmp_path):
+    # equilibrium on 200,000 circle points would need a 320 GB kernel matrix
+    text = CAPACITY_CIRCLE.replace("mode fekete", "mode equilibrium").replace(
+        "circle 0 0 1 64", "circle 0 0 1 200000"
+    )
+    cfg = write_cfg(tmp_path, text)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == 3
+    assert "320,000,000,000 bytes" in report["error"]["message"]
