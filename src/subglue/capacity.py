@@ -7,17 +7,20 @@ the continuous energy an atomic measure cannot attain.  Capacity estimates
 come from the inverse kernel profile; in the plane that is ``exp(energy)``.
 
 ``equilibrium_weights`` maximizes the regularized energy over the
-probability simplex by projected gradient ascent (the quadratic form is
-concave for these kernels, so the ascent reaches the global maximum), and
-``fekete_capacity`` estimates the capacity of a planar candidate set by a
-greedy-plus-exchange search for an n-point configuration maximizing the sum
-of pairwise log distances.  It holds only the log-distance columns of the n
-selected points, so m candidates take O(m n) memory.
+probability simplex exactly, by an active-set solve of the discrete Frostman
+conditions (the potential is constant on the support and no larger off it);
+``iterations`` counts its bordered-system solves, and ``converged`` means
+the conditions hold to ``tol``.  ``fekete_capacity`` estimates the capacity
+of a planar candidate set by a greedy-plus-exchange search for an n-point
+configuration maximizing the sum of pairwise log distances.  It holds only
+the log-distance columns of the n selected points, so m candidates take
+O(m n) memory.
 
 The energies and the equilibrium weights build m x m arrays over their m
-support points.  Every such array, and Fekete's m x n block, is checked
-against a fixed budget of 512 MiB before it is allocated; a larger request
-raises a ``PreconditionError`` that names the size.
+support points, and the equilibrium solve an (m + 1) x (m + 1) bordered
+system.  Every such array, and Fekete's m x n block, is checked against the
+512 MiB budget of ``errors._require_memory`` before it is allocated; a
+larger request raises a ``PreconditionError`` that names the size.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _require_memory
 from .geometry import NodeSet
 from .kernels import kernel_k, kernel_k_inverse
 
@@ -121,20 +124,8 @@ class EquilibriumResult:
     converged: bool
 
 
-# largest single array the estimators below may allocate; a call that needs
-# more fails up front with a PreconditionError instead of exhausting memory
-_MEMORY_BUDGET = 1 << 29
-
 # entries per row block of the farthest-pair scan
 _PAIR_BLOCK = 1 << 20
-
-
-def _require_memory(nbytes: int, what: str) -> None:
-    """Raise before allocating ``what`` when its ``nbytes`` exceed the budget."""
-    if nbytes > _MEMORY_BUDGET:
-        raise PreconditionError(
-            f"{what} needs {nbytes:,} bytes, above the {_MEMORY_BUDGET:,}-byte budget"
-        )
 
 
 def _require_finite(pts: np.ndarray, what: str) -> None:
@@ -212,6 +203,29 @@ def project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
+def _solve_bordered(a: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``[A_SS -1; 1^T 0] [w_S; lam] = [0; 1]`` on the active indices."""
+    k = active.size
+    system = np.empty((k + 1, k + 1))
+    if k == a.shape[0]:
+        system[:k, :k] = a
+    else:
+        system[:k, :k] = a[np.ix_(active, active)]
+    system[:k, k] = -1.0
+    system[k, :k] = 1.0
+    system[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    singular = f"the equilibrium system on {k} support points is singular"
+    try:
+        sol = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(singular) from exc
+    if not np.all(np.isfinite(sol)):
+        raise PreconditionError(singular)
+    return sol[:k], float(sol[k])
+
+
 def equilibrium_weights(
     support,
     d: int,
@@ -220,13 +234,20 @@ def equilibrium_weights(
 ) -> EquilibriumResult:
     """Weights maximizing the regularized mutual energy over the simplex.
 
-    Projected gradient ascent from the uniform measure with a fixed step
-    ``1 / (2 ||C||)``, where ``C`` is the doubly centred kernel matrix: the
-    part of ``A`` acting on the simplex's tangent space.  A constant shift
-    of the kernel, which is what dilating the support does to the log
-    kernel, leaves ``C`` and hence the iteration unchanged.  The run is
-    deterministic.  ``converged`` is set once the energy change between
-    iterates drops below ``tol``.
+    The maximizer is characterized by the discrete Frostman conditions: the
+    potential ``p = A w`` equals a constant ``lam`` on the support of ``w``
+    and is at most ``lam`` off it, and then the energy ``w @ A w`` is
+    ``lam``.  They are solved on an active set S, starting from every point:
+    each round solves the bordered system ``[A_SS -1; 1^T 0] [w_S; lam] =
+    [0; 1]``, drops every atom with a nonpositive weight and solves again,
+    and once all weights are positive adds the worst off-support violator
+    of ``p <= lam``.  ``iterations`` counts the bordered solves, at most
+    ``max_iter`` of them.  ``converged`` means that the conditions hold:
+    ``p_i - lam <= tol * max(1, |lam|)`` at every point off S.  When the
+    cap stops the rounds first, the result is the last nonnegative iterate
+    (the uniform measure if no solve gave one) with ``converged`` False.
+    The rounds are deterministic, and a dilation of the support, which
+    shifts the log kernel by a constant, changes only ``lam``.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
     if support.shape[0] < 2:
@@ -234,30 +255,35 @@ def equilibrium_weights(
     _require_finite(support, "support")
     if d < 2:
         raise PreconditionError("equilibrium weights need dimension d >= 2")
-    a = _kernel_matrix(support, d)
     n = support.shape[0]
-    # A - column means - row means + overall mean, built with one n x n
-    # temporary that is freed before the iteration
-    centred = a - a.mean(axis=0)
-    centred -= centred.mean(axis=1)[:, None]
-    lip = 2.0 * float(np.linalg.norm(centred, 2))
-    del centred
-    step = 1.0 / lip if lip > 0 else 1.0
+    # the first round solves on every point, so its two arrays are the
+    # largest of the run; check both before building either
+    _require_memory(8 * n * n, f"a {n} x {n} pairwise distance array")
+    _require_memory(8 * (n + 1) ** 2, f"a {n + 1} x {n + 1} bordered system")
+    a = _kernel_matrix(support, d)
     w = np.full(n, 1.0 / n)
-    aw = a @ w
-    energy = float(w @ aw)
+    energy = float(w @ a @ w)
+    in_support = np.ones(n, dtype=bool)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w_next = project_simplex(w + step * 2.0 * aw)
-        aw = a @ w_next
-        e_next = float(w_next @ aw)
-        delta = abs(e_next - energy)
-        move = float(np.abs(w_next - w).max())
-        w, energy = w_next, e_next
-        if delta < tol and move < math.sqrt(tol):
+    while iterations < max_iter:
+        iterations += 1
+        active = np.flatnonzero(in_support)
+        w_s, lam = _solve_bordered(a, active)
+        drop = w_s <= 0.0
+        if drop.any():
+            in_support[active[drop]] = False
+            continue
+        w = np.zeros(n)
+        w[active] = w_s / w_s.sum()
+        p = a @ w
+        energy = float(w @ p)
+        gap = np.where(in_support, -np.inf, p - lam)
+        worst = int(np.argmax(gap))
+        if gap[worst] <= tol * max(1.0, abs(lam)):
             converged = True
             break
+        in_support[worst] = True
     measure = DiscreteMeasure(support, w)
     return EquilibriumResult(
         measure=measure, energy=energy, iterations=iterations, converged=converged

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all subglue modules."""
+"""Exception hierarchy shared by all subglue modules, and the memory guard
+that turns an oversized allocation into a ``PreconditionError``."""
+
+# largest single array a guarded computation may allocate; a call that needs
+# more fails up front with a PreconditionError instead of exhausting memory
+_MEMORY_BUDGET = 1 << 29
 
 
 class SubglueError(Exception):
@@ -16,6 +21,14 @@ class PreconditionError(SubglueError):
     def __init__(self, message, tag=None):
         super().__init__(message)
         self.tag = tag
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise before allocating ``what`` when its ``nbytes`` exceed the budget."""
+    if nbytes > _MEMORY_BUDGET:
+        raise PreconditionError(
+            f"{what} needs {nbytes:,} bytes, above the {_MEMORY_BUDGET:,}-byte budget"
+        )
 
 
 class ConvergenceError(SubglueError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _require_memory
 from .extreal import ExtReal, MINUS_INF, PLUS_INF
 from .geometry import GridDomain, NodeSet, _shifted, as_point
 
@@ -137,14 +137,6 @@ class ScalarField:
         for k, c in enumerate(domain.coordinate_grids()):
             vals = vals + a[k] * c
         return cls(domain, vals)
-
-    @classmethod
-    def from_function(cls, domain: GridDomain, fn) -> "ScalarField":
-        """Evaluate ``fn`` on the (m, d) active-node coordinates."""
-        pts = domain.active_set().points()
-        vals = np.full(domain.shape, np.nan)
-        vals[domain.mask] = np.asarray(fn(pts), dtype=float)
-        return cls(domain, np.where(domain.mask, vals, 0.0))
 
     # -- basic queries ------------------------------------------------
 
@@ -296,9 +288,13 @@ def sphere_points(center, r: float, samples: int, d: int) -> np.ndarray:
     raise PreconditionError("spherical means are implemented for d = 2 and 3")
 
 
-def _require_samples(samples: int):
+def _require_samples(samples: int, d: int):
+    """Reject too few sphere samples, and too many to fit in memory: the
+    samples' multilinear corner weights and indices are (samples, 2**d)
+    arrays of 8-byte entries."""
     if samples < 8:
         raise PreconditionError("need at least 8 sphere samples")
+    _require_memory(8 * 2**d * samples, f"a {samples}-sample sphere stencil")
 
 
 def spherical_mean(v: ScalarField, x, r: float, samples: int = 256) -> float:
@@ -308,7 +304,7 @@ def spherical_mean(v: ScalarField, x, r: float, samples: int = 256) -> float:
     Returns ``-inf`` when any sample hits the field's -inf set.  Raises when
     the sphere leaves interpolation reach of the active nodes.
     """
-    _require_samples(samples)
+    _require_samples(samples, v.domain.dim)
     if not (r > 0):
         raise PreconditionError("sphere radius must be positive")
     pts = sphere_points(x, r, samples, v.domain.dim)
@@ -334,7 +330,7 @@ def mean_inf_constant(
     interpolated point by point instead.  Centres go in blocks of a fixed
     number of sample points, so memory does not grow with the shell.
     """
-    _require_samples(samples)
+    _require_samples(samples, v.domain.dim)
     v.domain.require_same_lattice(shell.domain)
     if shell.is_empty():
         raise PreconditionError("mean-infimum over an empty shell")

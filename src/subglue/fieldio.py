@@ -100,8 +100,8 @@ def field_to_text(v: ScalarField) -> str:
         f"spacing {dom.spacing!r}",
         "mask rle " + " ".join(str(r) for r in _rle_encode(dom.mask.ravel())),
     ]
-    for val in v.values[dom.mask]:
-        lines.append(repr(float(val)))
+    # tolist() yields Python floats, whose repr round-trips bit-exactly
+    lines.extend(map(repr, v.values[dom.mask].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -177,17 +177,164 @@ def test_equilibrium_matches_simplex_grid_search():
 
 
 def test_equilibrium_step_does_not_depend_on_dilation():
-    # dilating the support shifts the log kernel by a constant; the step is
-    # taken from the doubly centred kernel, so the iteration must not change
+    # dilating the support shifts the log kernel by a constant, which moves
+    # only the multiplier of the bordered system, so the rounds must not change
     t = np.linspace(-1.0, 1.0, 256)
     segment = np.stack([t, np.zeros_like(t)], axis=1)
     runs = {s: equilibrium_weights(s * segment, 2) for s in (0.5, 1.0, 2.0)}
     assert runs[0.5].converged
     assert len({res.iterations for res in runs.values()}) == 1
-    # one matvec per step: the energy comes from the next gradient's product
-    assert runs[1.0].iterations == 4379
+    # every point of the segment carries weight: one bordered solve
+    assert runs[1.0].iterations == 1
     for s, res in runs.items():
         assert np.exp(res.energy) == pytest.approx(s / 2.0, rel=0.02)
+
+
+def projected_gradient_weights(support, d, max_iter=5000, tol=1e-12):
+    """The projected-gradient ascent the active-set solve replaced, kept as
+    the reference its energy must not fall below."""
+    a = _kernel_matrix(support, d)
+    n = support.shape[0]
+    centred = a - a.mean(axis=0)
+    centred -= centred.mean(axis=1)[:, None]
+    step = 1.0 / (2.0 * float(np.linalg.norm(centred, 2)))
+    w = np.full(n, 1.0 / n)
+    aw = a @ w
+    energy = float(w @ aw)
+    for _ in range(max_iter):
+        w_next = project_simplex(w + step * 2.0 * aw)
+        aw = a @ w_next
+        e_next = float(w_next @ aw)
+        delta = abs(e_next - energy)
+        move = float(np.abs(w_next - w).max())
+        w, energy = w_next, e_next
+        if delta < tol and move < math.sqrt(tol):
+            break
+    return energy
+
+
+def lattice_ball(n, dim):
+    """Nodes of the lattice (1/n) Z^dim strictly inside the unit ball."""
+    g = np.arange(-n, n + 1) / n
+    grid = np.stack(np.meshgrid(*([g] * dim)), axis=-1).reshape(-1, dim)
+    return grid[np.sum(grid * grid, axis=1) < 1.0]
+
+
+def _equilibrium_cases():
+    t = np.linspace(-1.0, 1.0, 256)
+    yield "segment", np.stack([t, np.zeros_like(t)], axis=1), 2
+    yield "lattice-disk", lattice_ball(8, 2), 2
+    yield "lattice-ball", lattice_ball(4, 3), 3
+    rng = np.random.default_rng(47)
+    for k in range(3):
+        yield f"cloud{k}", rng.uniform(-1, 1, size=(300, 2)), 2
+
+
+EQUILIBRIUM_CASES = list(_equilibrium_cases())
+equilibrium_cases = pytest.mark.parametrize(
+    "pts, d", [case[1:] for case in EQUILIBRIUM_CASES], ids=[case[0] for case in EQUILIBRIUM_CASES]
+)
+
+
+def assert_frostman(res, d, tol=1e-12):
+    """The discrete Frostman conditions at the returned weights: a
+    probability vector whose potential is constant on its support and no
+    larger off it, the constant being the energy."""
+    w = res.measure.weights
+    assert np.all(w >= 0.0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    p = _kernel_matrix(res.measure.support, d) @ w
+    lam = res.energy
+    scale = max(1.0, abs(lam))
+    on = w > 0
+    assert np.abs(p[on] - lam).max() <= 1e-12 * scale
+    if not on.all():
+        assert (p[~on] - lam).max() <= tol * scale
+
+
+@equilibrium_cases
+def test_equilibrium_energy_is_at_least_the_projected_gradient(pts, d):
+    res = equilibrium_weights(pts, d)
+    assert res.converged
+    assert res.energy >= projected_gradient_weights(pts, d) - 1e-12
+
+
+@equilibrium_cases
+def test_equilibrium_satisfies_the_frostman_conditions(pts, d):
+    res = equilibrium_weights(pts, d)
+    assert res.converged
+    assert_frostman(res, d)
+    w = res.measure.weights
+    assert res.energy == float(w @ (_kernel_matrix(pts, d) @ w))
+
+
+def test_equilibrium_readds_a_dropped_atom():
+    # dropping every nonpositive atom at once can drop one that belongs to
+    # the support; a later round must add it back as a violator of p <= lam.
+    # Two of these 200 seeded clouds take such a round.
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        res = equilibrium_weights(rng.uniform(-1, 1, size=(20, 2)), 2)
+        assert res.converged
+        assert_frostman(res, 2)
+
+
+@pytest.mark.parametrize("length, angle, shift", [(2.0, 0.0, 0.0), (0.3, 0.7, 5.0), (7.5, 2.1, -3.0)])
+def test_equilibrium_segment_matches_arcsine_capacity(length, angle, shift):
+    # the equilibrium measure of a segment is the arcsine law, and the
+    # capacity of a segment of length L is L / 4
+    t = np.linspace(-0.5 * length, 0.5 * length, 256)
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    pts = t[:, None] * direction + shift
+    res = equilibrium_weights(pts, 2)
+    assert res.converged
+    assert math.exp(res.energy) == pytest.approx(length / 4.0, rel=0.02)
+
+
+def test_equilibrium_is_uniform_on_roots_of_unity():
+    res = equilibrium_weights(roots_of_unity(64), 2)
+    assert res.converged
+    assert res.iterations == 1
+    assert np.allclose(res.measure.weights, 1 / 64, rtol=0.0, atol=1e-12)
+
+
+def test_equilibrium_converges_on_a_thousand_point_cloud():
+    pts = np.random.default_rng(53).uniform(-1, 1, size=(1000, 2))
+    res = equilibrium_weights(pts, 2)
+    assert res.converged
+    assert res.iterations <= 20
+    assert_frostman(res, 2)
+
+
+def test_equilibrium_round_cap_returns_a_probability_measure():
+    pts = lattice_ball(8, 2)
+    res = equilibrium_weights(pts, 2, max_iter=1)
+    assert not res.converged
+    assert res.iterations == 1
+    w = res.measure.weights
+    assert np.all(w >= 0.0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.energy == pytest.approx(float(w @ _kernel_matrix(pts, 2) @ w), abs=1e-15)
+    # the full bordered system puts negative weight inside the disk, so the
+    # last nonnegative iterate is the uniform start
+    assert np.allclose(w, 1.0 / len(pts))
+
+
+def test_equilibrium_rejects_duplicate_points():
+    pts = np.vstack([roots_of_unity(8), roots_of_unity(8)[:1]])
+    with pytest.raises(PreconditionError):
+        equilibrium_weights(pts, 2)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan], ids=["singular", "non-finite"])
+def test_equilibrium_singular_system_names_the_support_size(fill, monkeypatch):
+    # a zero kernel makes every bordered system of 2 or more points singular
+    # (LinAlgError); a NaN kernel gives a non-finite solution instead
+    monkeypatch.setattr(
+        capacity_module, "_kernel_matrix", lambda pts, d: np.full((len(pts),) * 2, fill)
+    )
+    with pytest.raises(PreconditionError, match="on 5 support points"):
+        equilibrium_weights(roots_of_unity(5), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -405,4 +552,19 @@ def test_memory_guard_names_the_estimate_before_allocating(call, m, n):
     finally:
         tracemalloc.stop()
     assert f"needs {8 * m * n:,} bytes" in str(info.value)
+    assert peak < 5e6
+
+
+def test_bordered_system_guard_rejects_a_full_8192_point_support():
+    # the 8192 x 8192 pairwise array fits the budget exactly; the 8193 x 8193
+    # bordered system of the first round does not, and is refused first
+    pts = roots_of_unity(8192)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as info:
+            equilibrium_weights(pts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "a 8193 x 8193 bordered system needs 537,001,992 bytes" in str(info.value)
     assert peak < 5e6

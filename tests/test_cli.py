@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -284,6 +285,20 @@ def test_capacity_demo_scene_exits_zero(tmp_path):
     assert report["capacity"]["capacity"] == pytest.approx(32 ** (1 / 31), rel=0.01)
 
 
+def test_equilibrium_demo_scene_converges(tmp_path):
+    import pathlib
+
+    cfg = pathlib.Path(__file__).parent.parent / "demos" / "scene_configs" / "equilibrium_disk.cfg"
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["capacity"]["converged"]
+    # the 793 lattice nodes of the unit disk, whose capacity is 1
+    assert len((out / "weights.txt").read_text().splitlines()) == 793
+    assert math.exp(report["capacity"]["energy"]) == pytest.approx(1.0, rel=0.03)
+
+
 def test_console_module_smoke(tmp_path):
     cfg = write_cfg(tmp_path, VERIFY_CONCAVE)
     _write_concave_file(tmp_path)
@@ -336,6 +351,19 @@ def test_glue_full_too_few_samples_exits_precondition(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == 3
     assert "at least 8 sphere samples" in report["error"]["message"]
+
+
+def test_glue_full_huge_samples_exits_precondition(tmp_path):
+    # 10^9 sphere samples: the guard refuses the 32 GB corner arrays by their
+    # estimate, before the mean stage allocates anything sample-sized
+    cfg = write_cfg(tmp_path, GLUE_FULL_SMALL.replace("samples 0", "samples 1000000000"))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == 3
+    assert "1000000000-sample sphere stencil needs 32,000,000,000 bytes" in (
+        report["error"]["message"]
+    )
 
 
 CAPACITY_CIRCLE = """

@@ -55,6 +55,23 @@ def test_field_file_minus_inf_literal(tmp_path):
     assert np.array_equal(back.values[dom.mask], v.values[dom.mask])
 
 
+def test_field_text_matches_per_value_repr():
+    # the values section must keep the bytes of one repr(float(val)) per
+    # active node, also for signed zeros, subnormals and extreme magnitudes
+    dom = disk_domain(1.0, h=1 / 8)
+    specials = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1e300, 1e-5,
+                123456789.0, 0.1, -np.inf, 1e16, 2.0**-1074 * 3]
+    active = int(dom.mask.sum())
+    vals = np.zeros(dom.shape)
+    vals[dom.mask] = np.resize(np.array(specials), active)
+    v = ScalarField(dom, vals)
+    text = field_to_text(v)
+    body = text.splitlines()[5:]
+    assert body == [repr(float(val)) for val in v.values[dom.mask]]
+    assert "-0.0" in body and "5e-324" in body and "1.7976931348623157e+308" in body
+    assert text.endswith("\n")
+
+
 def test_field_file_header_validation():
     with pytest.raises(PreconditionError):
         field_from_text("dim 2\nshape 4 4\norigin 0 0\nspacing 0.5\n")
