@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import ScalarField, check, is_harmonic, is_subharmonic
 from .fieldio import read_field, write_field, write_json, write_pgm, write_points
-from .geometry import Ball, Box, GridDomain, NodeSet
+from .geometry import Ball, Box, GridDomain, NodeSet, _recipe_mask
 from .gluing import GlueConstants, glue_basic, glue_full, glue_green, glue_quantitative, glue_two
 from .harmonic import SolverParams, green_function, green_min_constant
 from .kernels import kernel_field
@@ -45,6 +45,9 @@ EXIT_INTERNAL = 5
 # scene construction
 # ---------------------------------------------------------------------------
 
+# config shape kind -> geometry shape; a "set" entry names an earlier mask
+_SHAPES = {"ball": Ball, "box": Box}
+
 
 class _Scene:
     """Resolved lattice, set masks and field recipes for one config."""
@@ -55,22 +58,13 @@ class _Scene:
         self.lattice = GridDomain(
             cfg.origin, cfg.spacing, cfg.shape, np.ones(cfg.shape, dtype=bool)
         )
-        pts = np.stack(np.broadcast_arrays(*self.lattice.coordinate_grids()), axis=-1)
         self.masks = {}
         for name, ops in cfg.sets.items():
-            mask = np.zeros(cfg.shape, dtype=bool)
-            for op in ops:
-                if op[1] == "ball":
-                    inside = Ball(op[2], op[3]).contains(pts)
-                elif op[1] == "box":
-                    inside = Box(op[2], op[3]).contains(pts)
-                else:
-                    inside = self.masks[op[2]]
-                mask = mask | inside if op[0] == "add" else mask & ~inside
-            self.masks[name] = mask
-
-    def set_mask(self, name: str) -> np.ndarray:
-        return self.masks[name]
+            recipe = [
+                (op, self.masks[args[0]] if kind == "set" else _SHAPES[kind](*args))
+                for op, kind, *args in ops
+            ]
+            self.masks[name] = _recipe_mask(recipe, self.lattice)
 
     def domain(self, name: str) -> GridDomain:
         mask = self.masks[name]
@@ -280,7 +274,7 @@ def _field_off_core(job: _Run):
     """The ``v`` field on the ambient set minus the core, and the core."""
     p, scene = job.params, job.scene
     s0 = scene.node_set(p["S0"])
-    v_domain = scene.lattice.with_mask(scene.set_mask(p["domain"]) & ~s0.mask)
+    v_domain = scene.lattice.with_mask(scene.masks[p["domain"]] & ~s0.mask)
     if not v_domain.mask.any():
         raise PreconditionError("empty domain: ambient set minus the core is empty")
     return scene.field(p["v"], v_domain), s0

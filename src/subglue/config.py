@@ -82,7 +82,7 @@ _REQUIRED_KEYS = {
     "glue-quant": {"v", "on", "g", "on0", "M_v", "m_v", "M_g", "m_g", "tol"},
     "glue-green": {"v", "domain", "S0", "S", "D", "pole", "m_v", "M_v", "tol"},
     "glue-full": {"v", "domain", "S0", "pole", "r", "M_v", "tol"},
-    "capacity": {"mode", "n"},
+    "capacity": {"mode"},
 }
 
 
@@ -349,6 +349,13 @@ def parse_config(text: str) -> SceneConfig:
 
 
 def _validate_references(cfg: SceneConfig):
+    d = len(cfg.shape)
+    for name, ops in cfg.sets.items():
+        for op in ops:
+            if op[1] != "set" and len(op[2]) != d:
+                raise ConfigValueError(
+                    f"set {name!r}: {op[1]} of dimension {len(op[2])} on a {d}-d grid"
+                )
     set_keys = {"on", "on0", "domain", "S0", "S", "D", "exclude", "support"}
     field_keys = {"field", "u", "u0", "v", "v0", "g"}
     for key, value in cfg.params.items():

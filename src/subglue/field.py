@@ -584,16 +584,9 @@ def boundary_limsup(v: ScalarField, from_set: NodeSet, at_node) -> ExtReal:
     ``at_node`` lying in ``from_set``."""
     at_node = tuple(int(i) for i in at_node)
     nb = neighbour_max(v, from_set)
-    d = v.domain.dim
-    has_neighbour = False
-    for offset in np.ndindex(*(3,) * d):
-        if all(o == 1 for o in offset):
-            continue
-        idx = tuple(at_node[k] + offset[k] - 1 for k in range(d))
-        if all(0 <= idx[k] < v.domain.shape[k] for k in range(d)) and from_set.mask[idx]:
-            has_neighbour = True
-            break
-    if not has_neighbour:
+    at = np.zeros(v.domain.shape, dtype=bool)
+    at[at_node] = True
+    if not NodeSet(v.domain, at).adjacent().mask[from_set.mask].any():
         raise PreconditionError("node has no neighbour in the approach set")
     return ExtReal(nb[at_node])
 

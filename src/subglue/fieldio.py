@@ -61,18 +61,11 @@ def write_text_atomic(path, text: str | bytes):
 
 
 def _rle_encode(flat: np.ndarray) -> list:
-    runs = []
-    current = False  # runs alternate starting with the inactive count
-    count = 0
-    for bit in flat:
-        if bool(bit) == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = not current
-            count = 1
-    runs.append(count)
-    return runs
+    """Run lengths of a flat boolean mask.  Runs alternate starting with the
+    inactive count, so a mask that starts active begins with a 0 run."""
+    cuts = np.flatnonzero(np.diff(flat)) + 1
+    runs = np.diff(np.concatenate(([0], cuts, [flat.size]))).tolist()
+    return [0] + runs if flat.size and flat[0] else runs
 
 
 def _rle_decode(runs, total: int) -> np.ndarray:

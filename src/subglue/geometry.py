@@ -13,6 +13,7 @@ and boundary nodes, while the Moore neighbourhood (8 neighbours in 2-d, 26 in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -127,6 +128,16 @@ def _shifted(arr: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
     return out
 
 
+def _interior_mask(mask: np.ndarray) -> np.ndarray:
+    """Members whose 2d axis neighbours are all members (lattice edges count
+    as outside)."""
+    interior = mask.copy()
+    for k in range(mask.ndim):
+        for step in (1, -1):
+            interior &= _shifted(mask, k, step, False)
+    return interior
+
+
 def _moore_structure(d: int) -> np.ndarray:
     return np.ones((3,) * d, dtype=bool)
 
@@ -211,11 +222,7 @@ class GridDomain:
 
     def interior_mask(self) -> np.ndarray:
         """Active nodes whose 2d axis neighbours are all active."""
-        interior = self.mask.copy()
-        for k in range(self.dim):
-            for step in (1, -1):
-                interior &= _shifted(self.mask, k, step, False)
-        return interior
+        return _interior_mask(self.mask)
 
     def boundary_mask(self) -> np.ndarray:
         """Active nodes with at least one inactive axis neighbour (lattice
@@ -268,6 +275,19 @@ class NodeSet:
         self.domain = domain
         self.mask = mask.copy()
         self.mask.setflags(write=False)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """Euclidean distance from every lattice node to the nearest member
+        (0 on members), read-only.  Computed once per node set: the mask and
+        the lattice are frozen, so every parallel set of this set thresholds
+        the same field."""
+        if self.is_empty():
+            raise PreconditionError("distance to an empty node set")
+        dom = self.domain
+        dist = ndimage.distance_transform_edt(~self.mask, sampling=[dom.spacing] * dom.dim)
+        dist.setflags(write=False)
+        return dist
 
     @property
     def count(self) -> int:
@@ -332,17 +352,11 @@ class NodeSet:
     def inner_boundary(self) -> "NodeSet":
         """Member nodes with an axis neighbour outside the set (lattice
         edges count as outside); the grid stand-in for the set's boundary."""
-        inner = GridDomain(
-            self.domain.origin, self.domain.spacing, self.domain.shape, self.mask
-        )
-        return NodeSet(self.domain, inner.boundary_mask())
+        return NodeSet(self.domain, self.mask & ~_interior_mask(self.mask))
 
     def interior(self) -> "NodeSet":
         """Member nodes whose 2d axis neighbours are all members."""
-        inner = GridDomain(
-            self.domain.origin, self.domain.spacing, self.domain.shape, self.mask
-        )
-        return NodeSet(self.domain, inner.interior_mask())
+        return NodeSet(self.domain, _interior_mask(self.mask))
 
     def is_connected(self) -> bool:
         if self.is_empty():
@@ -363,6 +377,25 @@ class NodeSet:
         return self.dilate("moore").issubset(other)
 
 
+def _recipe_mask(shapes, lattice: GridDomain) -> np.ndarray:
+    """The mask of a :func:`rasterize` recipe on ``lattice``, possibly empty;
+    a recipe shape may also be a boolean mask of the lattice's shape."""
+    pts = np.stack(np.broadcast_arrays(*lattice.coordinate_grids()), axis=-1)
+    mask = np.zeros(lattice.shape, dtype=bool)
+    for op, shp in shapes:
+        if op not in ("add", "sub"):
+            raise PreconditionError(f"unknown rasterize op {op!r}")
+        if isinstance(shp, np.ndarray):
+            inside = shp
+        else:
+            dim = (shp.center if isinstance(shp, Ball) else shp.lo).dim
+            if dim != lattice.dim:
+                raise PreconditionError(f"shape of dimension {dim} on a {lattice.dim}-d grid")
+            inside = shp.contains(pts)
+        mask = mask | inside if op == "add" else mask & ~inside
+    return mask
+
+
 def rasterize(shapes, origin, spacing: float, shape) -> GridDomain:
     """Rasterize a union/difference recipe of balls and boxes onto a lattice.
 
@@ -374,22 +407,14 @@ def rasterize(shapes, origin, spacing: float, shape) -> GridDomain:
     Raises
     ------
     PreconditionError
-        If the recipe is empty or the resulting domain has no active nodes.
+        If the recipe is empty, a shape's dimension differs from the
+        lattice's, or the resulting domain has no active nodes.
     """
     shapes = list(shapes)
     if not shapes:
         raise PreconditionError("empty shape recipe gives an empty domain")
     probe = GridDomain(origin, spacing, shape, np.zeros(shape, dtype=bool))
-    pts = np.stack(np.broadcast_arrays(*probe.coordinate_grids()), axis=-1)
-    mask = np.zeros(probe.shape, dtype=bool)
-    for op, shp in shapes:
-        if op not in ("add", "sub"):
-            raise PreconditionError(f"unknown rasterize op {op!r}")
-        inside = shp.contains(pts)
-        if op == "add":
-            mask |= inside
-        else:
-            mask &= ~inside
+    mask = _recipe_mask(shapes, probe)
     if not mask.any():
         raise PreconditionError("empty domain: no lattice node lies in the set")
     return probe.with_mask(mask)
@@ -407,12 +432,8 @@ def parallel_set(s: NodeSet, r: float) -> NodeSet:
         raise PreconditionError("parallel-set radius must be positive")
     if s.is_empty():
         raise PreconditionError("parallel set of an empty node set")
-    dom = s.domain
-    dist = ndimage.distance_transform_edt(
-        ~s.mask, sampling=[dom.spacing] * dom.dim
-    )
-    near = (dist < r) & dom.mask
-    return NodeSet(dom, near | s.mask)
+    near = (s.distance < r) & s.domain.mask
+    return NodeSet(s.domain, near | s.mask)
 
 
 def dist_to_complement(s: NodeSet, o: GridDomain) -> float:
@@ -423,12 +444,8 @@ def dist_to_complement(s: NodeSet, o: GridDomain) -> float:
         raise PreconditionError("distance from an empty node set")
     if not s.issubset(o.active_set()):
         raise PreconditionError("node set must lie in the domain's active nodes")
-    target = ~o.mask
-    edge = np.ones(o.shape, dtype=bool)
-    edge[tuple(slice(1, -1) for _ in range(o.dim))] = False
-    target |= edge
-    dist = ndimage.distance_transform_edt(~target, sampling=[o.spacing] * o.dim)
-    return float(dist[s.mask].min())
+    ring = ~_interior_mask(np.ones(o.shape, dtype=bool))
+    return float(NodeSet(o, ~o.mask | ring).distance[s.mask].min())
 
 
 def regularized_domain(s0: NodeSet, r: float, host: GridDomain) -> GridDomain:

@@ -162,13 +162,6 @@ class GlueResult:
 # ---------------------------------------------------------------------------
 
 
-def _moore_adjacent_mask(mask: np.ndarray) -> np.ndarray:
-    from scipy import ndimage
-
-    struct = np.ones((3,) * mask.ndim, dtype=bool)
-    return ndimage.binary_dilation(mask, struct) & ~mask
-
-
 def _one_sided_violation(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Violation of ``lhs <= rhs`` with -inf treated as the bottom element."""
     with np.errstate(invalid="ignore"):
@@ -282,8 +275,9 @@ def glue_basic(
     if np.any(o0_mask & ~o_mask):
         raise PreconditionError("inner domain must be a subset of the outer domain")
 
-    interface = o_mask & ~o0_mask & _moore_adjacent_mask(o0_mask)
-    limsup_u0 = neighbour_max(u0, u0.domain.active_set())
+    inner = u0.domain.active_set()
+    interface = o_mask & inner.adjacent().mask
+    limsup_u0 = neighbour_max(u0, inner)
     violation = _equality_violation(limsup_u0, u.values)
     reports = [
         _interface_report(
@@ -334,12 +328,12 @@ def glue_two(
     o_mask = v.domain.mask
     o0_mask = v0.domain.mask
     overlap = o_mask & o0_mask
-    near_overlap = _moore_adjacent_mask(overlap) | overlap
+    overlap_set = NodeSet(v.domain, overlap)
+    near_overlap = overlap_set.dilate().mask
 
     iface0 = o0_mask & ~o_mask & near_overlap  # inside v0's domain, at v's edge
     iface1 = o_mask & ~o0_mask & near_overlap  # inside v's domain, at v0's edge
 
-    overlap_set = NodeSet(v.domain, overlap)
     limsup_v = neighbour_max(v, overlap_set)
     limsup_v0 = neighbour_max(v0, overlap_set)
 
@@ -367,7 +361,7 @@ def glue_two(
     # certification
     far0 = o0_mask & ~o_mask & ~near_overlap
     far1 = o_mask & ~o0_mask & ~near_overlap
-    contact = far0 & _moore_adjacent_mask(far1)
+    contact = far0 & NodeSet(v.domain, far1).adjacent().mask
     touching = int(contact.sum())
     reports.append(
         check(
@@ -450,11 +444,10 @@ def glue_quantitative(
     v.domain.require_same_lattice(g.domain)
     o_mask = v.domain.mask
     o0_mask = g.domain.mask
-    overlap = o_mask & o0_mask
-    near_overlap = _moore_adjacent_mask(overlap)
+    overlap_set = NodeSet(v.domain, o_mask & o0_mask)
+    near_overlap = overlap_set.adjacent().mask
     iface0 = o0_mask & ~o_mask & near_overlap
     iface1 = o_mask & ~o0_mask & near_overlap
-    overlap_set = NodeSet(v.domain, overlap)
 
     reports = []
 

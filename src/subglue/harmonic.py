@@ -343,7 +343,7 @@ def harmonic_layer_continuation(
         raise PreconditionError(
             "layer must be open in the grid sense (interior nodes of the field's domain)"
         )
-    ring = layer.dilate("axis").difference(layer)
+    ring = layer.adjacent("axis")
     ring_vals = v.values[ring.mask]
     if np.any(ring_vals == -np.inf):
         raise PreconditionError("-inf value on the layer's boundary ring")

@@ -427,3 +427,73 @@ def test_capacity_over_memory_budget_exits_precondition(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == 3
     assert "320,000,000,000 bytes" in report["error"]["message"]
+
+
+def test_capacity_n_is_required_only_by_fekete(tmp_path, capsys):
+    no_n = CAPACITY_CIRCLE.replace("  n 8\n", "")
+    cfg = write_cfg(tmp_path, no_n.replace("mode fekete", "mode equilibrium"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "eq"), "--quiet"]) == 0
+    cfg = write_cfg(tmp_path, no_n)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "fk"), "--quiet"]) == 2
+    assert "key 'n'" in capsys.readouterr().err
+
+
+SET_REFERENCES = """
+grid {
+  origin -1 -1
+  spacing 0.125
+  shape 17 17
+}
+set A { add ball 0.25 0 0.5 }
+set B {
+  add box -0.8 -0.6 0.5 0.6
+  sub ball 0 0 0.3
+  add set A
+}
+set X {
+  add set A
+  sub set B
+}
+field c { constant 1 }
+command verify {
+  field c
+  on B
+  tol 1e-9
+}
+"""
+
+
+def test_verify_rasterizes_set_references(tmp_path):
+    cfg = write_cfg(tmp_path, SET_REFERENCES)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
+    mask = read_field(tmp_path / "out" / "field.txt").domain.mask
+    brute = np.zeros((17, 17), dtype=bool)
+    for i in range(17):
+        for j in range(17):
+            x, y = -1 + 0.125 * i, -1 + 0.125 * j
+            in_a = (x - 0.25) ** 2 + y**2 < 0.5**2
+            in_box = -0.8 < x < 0.5 and -0.6 < y < 0.6
+            brute[i, j] = (in_box and not x**2 + y**2 < 0.3**2) or in_a
+    assert np.array_equal(mask, brute)
+    # the reference re-adds nodes the sub ball removed and reaches past the box
+    assert mask[8, 8] and mask[13, 8]
+
+
+def test_verify_on_an_empty_set_exits_precondition(tmp_path):
+    cfg = write_cfg(tmp_path, SET_REFERENCES.replace("  on B\n", "  on X\n"))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["message"].startswith("empty domain: set 'X'")
+
+
+@pytest.mark.parametrize(
+    "entry", ["add ball 0 0 0 1", "add box -1 -1 -1 1 1 1", "add ball 0 1"]
+)
+def test_shape_dimension_mismatch_exits_config_status(tmp_path, capsys, entry):
+    text = SET_REFERENCES.replace("set A { add ball 0.25 0 0.5 }", f"set A {{ {entry} }}")
+    cfg = write_cfg(tmp_path, text)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert "set 'A': " in capsys.readouterr().err

@@ -31,6 +31,34 @@ def test_rle_round_trip_edge_cases():
     assert _rle_encode(np.array([True, False]))[0] == 0
 
 
+def _rle_encode_loop(flat):
+    """The per-entry loop the vectorized encoder replaced, as a reference."""
+    runs = []
+    current = False
+    count = 0
+    for bit in flat:
+        if bool(bit) == current:
+            count += 1
+        else:
+            runs.append(count)
+            current = not current
+            count = 1
+    runs.append(count)
+    return runs
+
+
+def test_rle_encode_matches_the_loop_reference():
+    rng = np.random.default_rng(11)
+    masks = [rng.random(n) < p for n in (1, 2, 7, 500) for p in (0.1, 0.5, 0.9)]
+    masks += [np.ones(n, dtype=bool) for n in (1, 6)]
+    masks += [np.zeros(n, dtype=bool) for n in (0, 1, 6)]
+    masks.append(disk_domain(h=0.0625).mask.ravel())
+    for flat in masks:
+        runs = _rle_encode(flat)
+        assert runs == _rle_encode_loop(flat)
+        assert all(type(r) is int for r in runs)
+
+
 def test_field_file_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     dom = disk_domain(1.0, h=1 / 16)

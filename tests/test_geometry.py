@@ -60,6 +60,14 @@ def test_rasterize_box_minus_ball_matches_brute_force():
     assert dom.active_count == count
 
 
+@pytest.mark.parametrize(
+    "shp", [Ball((0, 0, 0), 1.0), Box((-1, -1, -1), (1, 1, 1)), Ball((0,), 1.0)]
+)
+def test_rasterize_rejects_a_shape_of_another_dimension(shp):
+    with pytest.raises(PreconditionError, match="dimension"):
+        rasterize([("add", shp)], origin=(-1, -1), spacing=0.125, shape=(17, 17))
+
+
 def test_rasterize_empty_result_errors():
     with pytest.raises(PreconditionError, match="empty domain"):
         rasterize(
@@ -117,6 +125,20 @@ def test_parallel_set_matches_brute_force():
     oracle[tuple(dom.active_set().indices().T)] = near
     oracle |= s.mask
     assert np.array_equal(grown.mask, oracle)
+
+
+def test_node_set_distance_is_exact_cached_and_read_only():
+    dom = disk_domain(1.0, h=1 / 16)
+    s = NodeSet(dom, dom.mask & (dom.distance2_to((0.1, -0.2)) < 0.3**2))
+    dist = s.distance
+    assert dist is s.distance
+    assert not dist.flags.writeable
+    lattice_pts = dom.full_lattice().active_set().points()
+    d2 = ((lattice_pts[:, None, :] - s.points()[None, :, :]) ** 2).sum(axis=2)
+    oracle = np.sqrt(d2.min(axis=1)).reshape(dom.shape)
+    assert np.allclose(dist, oracle, rtol=0.0, atol=1e-12)
+    with pytest.raises(PreconditionError):
+        NodeSet(dom, np.zeros(dom.shape, dtype=bool)).distance
 
 
 def test_parallel_set_monotone_and_contains_seed():

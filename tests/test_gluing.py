@@ -353,3 +353,28 @@ def test_glue_full_pipeline_invariants(pipeline_scene):
     d_set = NodeSet(res.field.domain, res.regularized.mask)
     assert inner.issubset(d_set)
     assert d_set.issubset(outer_shell)
+
+
+def test_glue_full_computes_two_distance_fields(monkeypatch):
+    # one for dist_to_complement, one shared by every parallel set of the core
+    from subglue import geometry
+
+    calls = []
+    edt = geometry.ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return edt(*args, **kwargs)
+
+    monkeypatch.setattr(geometry.ndimage, "distance_transform_edt", counting)
+    # the README glue_full scene
+    h = 1 / 128
+    outer = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=h, shape=(257, 257))
+    r2 = outer.distance2_to((0.0, 0.0))
+    core = NodeSet(outer, outer.mask & (r2 < 0.15**2))
+    vdom = outer.with_mask(outer.mask & ~core.mask)
+    v = ScalarField(vdom, np.where(vdom.mask, 0.5 * np.log(np.maximum(r2, 1e-300)), 0))
+    res = glue_full(v, core, o=(0, 0), r=0.3, M_v=float(np.log(0.45)),
+                    tol=1e-6 + 100 * h * h, cert_tol=0.05)
+    assert res.verified
+    assert len(calls) == 2
