@@ -47,9 +47,14 @@ __all__ = [
 
 
 class DiscreteMeasure:
-    """Support points with nonnegative weights summing to one."""
+    """Support points with nonnegative weights summing to one.
 
-    def __init__(self, support, weights):
+    ``_distinct=True`` skips the pairwise distinctness check, and its m x m
+    distance array, for a caller that has already rejected coincident
+    points.
+    """
+
+    def __init__(self, support, weights, _distinct=False):
         support = np.atleast_2d(np.asarray(support, dtype=float))
         weights = np.asarray(weights, dtype=float)
         if support.shape[0] != weights.shape[0]:
@@ -63,7 +68,7 @@ class DiscreteMeasure:
         total = weights.sum()
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError("weights must sum to 1 within 1e-12")
-        if support.shape[0] > 1:
+        if support.shape[0] > 1 and not _distinct:
             d2 = _pairwise_dist2(support)
             np.fill_diagonal(d2, np.inf)
             if d2.min() <= 0.0:
@@ -284,7 +289,8 @@ def equilibrium_weights(
             converged = True
             break
         in_support[worst] = True
-    measure = DiscreteMeasure(support, w)
+    # _kernel_matrix has rejected coincident points (a zero distance)
+    measure = DiscreteMeasure(support, w, _distinct=True)
     return EquilibriumResult(
         measure=measure, energy=energy, iterations=iterations, converged=converged
     )

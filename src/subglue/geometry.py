@@ -85,8 +85,12 @@ class Ball:
         if not (self.radius > 0):
             raise PreconditionError("ball radius must be positive")
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        d2 = np.sum((pts - self.center.as_array()) ** 2, axis=-1)
+    def contains(self, coords) -> np.ndarray:
+        """Membership of the points whose k-th coordinates are
+        ``coords[k]``: per-axis arrays that broadcast together, such as
+        :meth:`GridDomain.coordinate_grids`, or the columns ``pts.T`` of an
+        (m, d) array."""
+        d2 = sum((x - c) ** 2 for x, c in zip(coords, self.center))
         return d2 < self.radius**2
 
 
@@ -105,10 +109,13 @@ class Box:
         if not all(a < b for a, b in zip(self.lo, self.hi)):
             raise PreconditionError("box must have positive extent")
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = self.lo.as_array()
-        hi = self.hi.as_array()
-        return np.all((pts > lo) & (pts < hi), axis=-1)
+    def contains(self, coords) -> np.ndarray:
+        """Membership of the points whose k-th coordinates are
+        ``coords[k]``, as for :meth:`Ball.contains`."""
+        inside = True
+        for x, lo, hi in zip(coords, self.lo, self.hi):
+            inside = inside & (x > lo) & (x < hi)
+        return inside
 
 
 def _shifted(arr: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
@@ -380,7 +387,7 @@ class NodeSet:
 def _recipe_mask(shapes, lattice: GridDomain) -> np.ndarray:
     """The mask of a :func:`rasterize` recipe on ``lattice``, possibly empty;
     a recipe shape may also be a boolean mask of the lattice's shape."""
-    pts = np.stack(np.broadcast_arrays(*lattice.coordinate_grids()), axis=-1)
+    grids = lattice.coordinate_grids()
     mask = np.zeros(lattice.shape, dtype=bool)
     for op, shp in shapes:
         if op not in ("add", "sub"):
@@ -391,7 +398,7 @@ def _recipe_mask(shapes, lattice: GridDomain) -> np.ndarray:
             dim = (shp.center if isinstance(shp, Ball) else shp.lo).dim
             if dim != lattice.dim:
                 raise PreconditionError(f"shape of dimension {dim} on a {lattice.dim}-d grid")
-            inside = shp.contains(pts)
+            inside = shp.contains(grids)
         mask = mask | inside if op == "add" else mask & ~inside
     return mask
 

@@ -1,9 +1,14 @@
 """Discrete Dirichlet solves, Green's functions and harmonic continuation.
 
-Every solve assembles the masked 2d-point Laplacian over its unknown nodes
-once, as a sparse symmetric positive definite matrix with the fixed data
-folded into the right-hand side, and runs conjugate gradients on it until the
-max-norm of the stencil residual meets the target; the iteration is
+Every solve colours its unknown nodes red and black by the parity of their
+index sum.  The 2d-point stencil couples only nodes of opposite colour, so
+the red unknowns are eliminated: conjugate gradients run on the symmetric
+positive definite Schur complement over the black unknowns (the "reduced
+system" of Hageman & Young, *Applied Iterative Methods*, 1981, ch. 9), with
+a quarter of the full Laplacian's condition number and so about half its
+iterations, and the red values are back-substituted.  The fixed data are
+folded into the right-hand side.  A solve stops once the max-norm of the
+stencil residual over both colours meets the target; the iteration is
 deterministic.  The Green's function of a domain D with pole o is obtained by
 solving the discrete Poisson problem with a normalized point source at the
 pole node and zero boundary values, which makes the result discretely
@@ -15,6 +20,7 @@ for +inf; it is excluded from every certification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .field import ScalarField
-from .geometry import GridDomain, NodeSet, Point, _shifted, as_point
+from .geometry import GridDomain, NodeSet, Point, as_point
 
 __all__ = [
     "SolverParams",
@@ -41,7 +47,7 @@ class SolverParams:
 
     A solve stops once the max-norm of the stencil residual is at most
     ``rtol`` times the data range; ``max_iter`` bounds the number of CG
-    iterations.
+    iterations on the reduced system.
     """
 
     max_iter: int = 1_000_000
@@ -54,41 +60,58 @@ class SolverParams:
             raise PreconditionError("residual tolerance must be positive")
 
 
-def _laplacian_system(values: np.ndarray, unknown: np.ndarray, h2src):
-    """``(M, b)`` with ``M = -A`` the 2d-point Laplacian on the unknowns, in
-    row-major order, and the fixed neighbour values (0 beyond the lattice)
-    and ``h2src`` (per unknown, or None) folded into ``b``, so that
-    ``b - M u`` is the stencil residual.
+def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source):
+    """The stencil system on the unknowns, split by colour.
 
-    CSR arrays are built straight from the (unknowns x (2d+1)) neighbour
-    table; missing neighbours are -1 there and dropped.
+    A node is black when its index sum is odd and red when it is even; the
+    2d-point stencil couples only nodes of opposite colour.  Returns
+    ``(red, black, adj, adj_t, b_red, b_black)``: the two colour masks, the
+    0/1 red-to-black adjacency ``N`` (CSR, rows red and columns black, each
+    colour numbered in row-major order) and ``N^T``, and the right-hand
+    side of each colour, which holds the fixed neighbour values (0 beyond
+    the lattice) minus ``h^2 source`` (a full-lattice array, or None).  The
+    full system is ``2d u_red - N u_black = b_red`` and
+    ``2d u_black - N^T u_red = b_black``.
     """
     # imported here, not at module level, so that importing subglue for
     # capacity or certification alone does not load scipy.sparse
     from scipy import sparse
 
-    d = values.ndim
-    n = int(np.count_nonzero(unknown))
+    odd = functools.reduce(
+        np.logical_xor, (i % 2 == 1 for i in np.indices(values.shape, sparse=True))
+    )
+    red = unknown & ~odd
+    black = unknown & odd
+    # on the lattice padded by one node, the 2d neighbours of flat index i
+    # sit at i + offsets, in ascending order; the pad stands for the nodes
+    # beyond the lattice (unnumbered, value 0)
     number = np.full(values.shape, -1, dtype=np.int32)
-    number[unknown] = np.arange(n, dtype=np.int32)
-    fixed_values = np.where(unknown, 0.0, values)
-    b = np.zeros(n) if h2src is None else -h2src
-    # keyed by step * (d - axis), so sorting the keys puts each row's
-    # columns in ascending order
-    columns = {0: number[unknown]}
-    for k in range(d):
-        for step in (-1, 1):
-            columns[step * (d - k)] = _shifted(number, k, step, -1)[unknown]
-            b += _shifted(fixed_values, k, step, 0.0)[unknown]
-    table = np.stack([columns[key] for key in sorted(columns)], axis=1)
-    coef = np.full(2 * d + 1, -1.0)
-    coef[d] = 2.0 * d
+    number[black] = np.arange(np.count_nonzero(black), dtype=np.int32)
+    number = np.pad(number, 1, constant_values=-1)
+    strides = np.array(number.strides) // number.itemsize
+    offsets = np.sort(np.concatenate([-strides, strides]))
+    number = number.ravel()
+    fixed = np.pad(np.where(unknown, 0.0, values), 1).ravel()
+
+    def neighbours(colour: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(np.pad(colour, 1))[:, None] + offsets
+
+    at = neighbours(red)
+    # the unknown neighbours of a red node are all black
+    table = number[at]
     present = table >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr = np.zeros(table.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-    data = np.broadcast_to(coef, table.shape)[present]
-    matrix = sparse.csr_matrix((data, table[present], indptr), shape=(n, n))
-    return matrix, b
+    adj = sparse.csr_matrix(
+        (np.ones(int(indptr[-1])), table[present], indptr),
+        shape=(table.shape[0], np.count_nonzero(black)),
+    )
+    b_red = fixed[at].sum(axis=1)
+    b_black = fixed[neighbours(black)].sum(axis=1)
+    if source is not None:
+        b_red -= (h * h) * source[red]
+        b_black -= (h * h) * source[black]
+    return red, black, adj, adj.T.tocsr(), b_red, b_black
 
 
 def _cg_solve(
@@ -98,52 +121,82 @@ def _cg_solve(
     params: SolverParams,
     source: np.ndarray | None = None,
 ):
-    """Conjugate gradients for ``lap u = source`` on the unknown nodes.
+    """Conjugate gradients for ``lap u = source`` on the unknown nodes, run
+    on the red-black reduced system.
 
     ``values`` enters with the fixed data preset and an initial guess on the
-    unknowns; it is modified in place.  Returns ``(residual, iterations)``
-    where the residual is ``max |sum(neighbours) - 2d u - h^2 source|`` over
-    the unknowns.  A recurrence residual that meets the target is confirmed
-    against the true residual, and CG restarts from the true one if not.
+    black unknowns; it is modified in place.  With ``D = 2d``, eliminating
+    the red unknowns, ``u_red = (b_red + N u_black) / D``, leaves the
+    symmetric positive definite Schur complement ``S = D I - N^T N / D`` on
+    the black ones, with right-hand side ``b_black + N^T b_red / D``.  Its
+    residual is the stencil residual on the black nodes once the red values
+    are back-substituted, and the red residual is then zero up to roundoff.
+    Returns ``(residual, iterations)`` where the residual is
+    ``max |sum(neighbours) - 2d u - h^2 source|`` over all the unknowns and
+    the iterations are those of the reduced system.  A recurrence residual
+    that meets the target is confirmed against the true residual over both
+    colours, and CG restarts from the true one if not.
     """
-    fixed = values[~unknown]
-    fixed = fixed[np.isfinite(fixed)]
-    scale = float(fixed.max() - fixed.min()) if fixed.size else 0.0
+    # the data range by masked reductions, without a copy of the fixed data
+    fixed = ~unknown & np.isfinite(values)
+    scale = 0.0
+    if fixed.any():
+        hi = values.max(where=fixed, initial=-np.inf)
+        scale = float(hi - values.min(where=fixed, initial=np.inf))
     if source is not None:
-        scale = max(scale, (h * h) * float(np.abs(source).max()))
+        scale = max(scale, (h * h) * float(max(source.max(), -source.min())))
     target = params.rtol * scale
     if not unknown.any():
         return 0.0, 0
 
-    h2src = None if source is None else (h * h) * source[unknown]
-    matrix, b = _laplacian_system(values, unknown, h2src)
-    x = values[unknown]
-    r = b - matrix @ x
-    residual = float(np.abs(r).max())
+    red, black, adj, adj_t, b_red, b_black = _red_black_system(values, unknown, h, source)
+    diag = 2.0 * values.ndim
+
+    def back_substitute(x):
+        """The red values for black values ``x``, the black residual, and
+        the max-norm of the residual ``b - M u`` of the full system over
+        both colours.  The red residual is formed apart from ``x_red``, so
+        it carries the roundoff of the back-substitution rather than
+        cancelling it."""
+        nx = adj @ x
+        x_red = (b_red + nx) / diag
+        r_red = b_red - (diag * x_red - nx)
+        r = b_black - (diag * x - adj_t @ x_red)
+        residual = max(np.abs(r_red).max(initial=0.0), np.abs(r).max(initial=0.0))
+        return x_red, r, float(residual)
+
+    x = values[black]
+    x_red, r, residual = back_substitute(x)
     iterations = 0
     p = r.copy()
     rr = float(r @ r)
-    while residual > target and iterations < params.max_iter:
+    # rr == 0 leaves nothing to iterate on: the black values are exact
+    while residual > target and rr > 0.0 and iterations < params.max_iter:
         iterations += 1
-        q = matrix @ p
+        q = adj_t @ (adj @ p)
+        q *= -1.0 / diag
+        q += diag * p
         alpha = rr / float(p @ q)
         x += alpha * p
         r -= alpha * q
-        residual = float(np.abs(r).max())
+        residual = max(float(r.max()), -float(r.min()))
         if residual <= target:  # confirm; if the true residual fails, restart
-            r = b - matrix @ x
-            residual = float(np.abs(r).max())
+            x_red, r, residual = back_substitute(x)
             p[:] = 0.0
         rr, rr_prev = float(r @ r), rr
-        p = r + (rr / rr_prev) * p
-    values[unknown] = x
-    if residual > target:
-        residual = float(np.abs(b - matrix @ x).max())
+        p *= rr / rr_prev
+        p += r
+    converged = residual <= target
+    if not converged:  # the values left behind carry their true residual
+        x_red, _, residual = back_substitute(x)
+    values[red] = x_red
+    values[black] = x
+    if not converged:
         raise ConvergenceError(
             f"CG did not reach residual {target:g} within {params.max_iter} "
             f"iterations (final residual {residual:g})",
             residual=residual,
-            iterations=params.max_iter,
+            iterations=iterations,
         )
     return residual, iterations
 

@@ -326,6 +326,26 @@ def test_equilibrium_rejects_duplicate_points():
         equilibrium_weights(pts, 2)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_equilibrium_builds_one_distance_array_and_rejects_duplicates(d, monkeypatch):
+    # the kernel matrix is the only pairwise-distance pass: the returned
+    # measure skips its own distinctness check, which the zero distance of
+    # a duplicate already fails inside the kernel
+    calls = []
+    real = capacity_module._pairwise_dist2
+    monkeypatch.setattr(
+        capacity_module, "_pairwise_dist2", lambda pts: calls.append(len(pts)) or real(pts)
+    )
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-1.0, 1.0, (40, d))
+    res = equilibrium_weights(pts, d)
+    assert calls == [40]
+    assert res.measure.size == 40
+    for dup in (np.vstack([pts, pts[17:18]]), np.vstack([pts[:5], pts[:5]])):
+        with pytest.raises(PreconditionError, match="kernel argument must be positive"):
+            equilibrium_weights(dup, d)
+
+
 @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["singular", "non-finite"])
 def test_equilibrium_singular_system_names_the_support_size(fill, monkeypatch):
     # a zero kernel makes every bordered system of 2 or more points singular

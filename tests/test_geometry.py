@@ -4,6 +4,7 @@ import pytest
 from subglue import (
     Ball,
     Box,
+    GridDomain,
     NodeSet,
     Point,
     PreconditionError,
@@ -14,6 +15,8 @@ from subglue import (
     rasterize_ball,
     regularized_domain,
 )
+
+from subglue.geometry import _recipe_mask
 
 from conftest import disk_domain
 
@@ -66,6 +69,41 @@ def test_rasterize_box_minus_ball_matches_brute_force():
 def test_rasterize_rejects_a_shape_of_another_dimension(shp):
     with pytest.raises(PreconditionError, match="dimension"):
         rasterize([("add", shp)], origin=(-1, -1), spacing=0.125, shape=(17, 17))
+
+
+def _stacked_contains(shp, pts):
+    """Membership evaluated on an (..., d) stacked point array, the way the
+    shapes were evaluated before they took per-axis coordinate grids."""
+    if isinstance(shp, Ball):
+        return np.sum((pts - shp.center.as_array()) ** 2, axis=-1) < shp.radius**2
+    return np.all((pts > shp.lo.as_array()) & (pts < shp.hi.as_array()), axis=-1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shape_masks_on_coordinate_grids_are_bit_identical_to_stacked_points(d):
+    # centres on nodes, half-nodes and random points; radii and box corners
+    # on multiples of h hit the strict boundary inequalities exactly
+    rng = np.random.default_rng(d)
+    h = 1 / 16 if d == 2 else 1 / 8
+    n = int(round(2 / h)) + 1
+    lattice = GridDomain((-1.0,) * d, h, (n,) * d, np.zeros((n,) * d, dtype=bool))
+    grids = lattice.coordinate_grids()
+    pts = np.stack(np.broadcast_arrays(*grids), axis=-1)
+    shapes = []
+    for k in range(12):
+        centre = rng.integers(-n // 2, n // 2, d) * h * (0.5 if k % 3 else 1.0)
+        if k % 4 == 3:
+            centre = rng.uniform(-1.0, 1.0, d)
+        radius = rng.integers(1, n // 2) * h if k % 2 else rng.uniform(0.05, 1.5)
+        shapes.append(Ball(centre, radius))
+        lo = rng.integers(-n // 2, n // 4, d) * h
+        span = rng.integers(1, n // 2, d) * h if k % 2 else rng.uniform(0.05, 1.0, d)
+        shapes.append(Box(lo, lo + span))
+    for shp in shapes:
+        expected = _stacked_contains(shp, pts)
+        assert np.array_equal(_recipe_mask([("add", shp)], lattice), expected)
+        flat = pts.reshape(-1, d)
+        assert np.array_equal(shp.contains(flat.T), expected.ravel())
 
 
 def test_rasterize_empty_result_errors():

@@ -306,7 +306,7 @@ def _dense_stencil_solve(values, unknown, h, source):
     return np.linalg.solve(a, rhs)
 
 
-@pytest.mark.parametrize("shape", [(21, 19), (8, 9, 7)])
+@pytest.mark.parametrize("shape", [(21, 19), (8, 9, 7), (330,)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cg_matches_dense_solve_on_random_masked_domains(shape, seed):
     # unknowns are a random subset of the whole lattice, edges included, so
@@ -347,3 +347,112 @@ def test_cg_below_roundoff_target_restarts_and_reports_true_residual():
     assert target < err.value.residual <= 1e-14
     # b - M u and the stencil sum round differently at this level
     assert true / 4 <= err.value.residual <= 4 * true
+
+
+# ---------------------------------------------------------------------------
+# the red-black reduced solve against a dense solve and a plain-CG reference
+# ---------------------------------------------------------------------------
+
+
+def _plain_cg_solve(values, unknown, h, rtol, source=None):
+    """Plain conjugate gradients on the full stencil system ``M u = b`` over
+    every unknown, with the solver's stopping rule: the max-norm of the
+    residual meets ``rtol`` times the data range, and a recurrence residual
+    that meets it is confirmed against the true one.  Returns the solved
+    lattice values and the iteration count."""
+    from scipy import sparse
+
+    nodes = np.argwhere(unknown)
+    n = len(nodes)
+    number = np.full(values.shape, -1)
+    number[unknown] = np.arange(n)
+    fixed = np.where(unknown, 0.0, values)
+    b = np.zeros(n) if source is None else -h * h * source[unknown]
+    rows, cols = [], []
+    for k in range(values.ndim):
+        for step in (1, -1):
+            nb = nodes.copy()
+            nb[:, k] += step
+            inside = np.flatnonzero((nb[:, k] >= 0) & (nb[:, k] < values.shape[k]))
+            at = tuple(nb[inside].T)
+            b[inside] += fixed[at]
+            linked = number[at] >= 0
+            rows.append(inside[linked])
+            cols.append(number[at][linked])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    adjacency = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    matrix = 2.0 * values.ndim * sparse.identity(n, format="csr") - adjacency
+    scale = np.ptp(values[~unknown])
+    if source is not None:
+        scale = max(scale, h * h * np.abs(source).max())
+    target = rtol * scale
+    x = values[unknown]
+    r = b - matrix @ x
+    p, rr, iterations = r.copy(), r @ r, 0
+    while np.abs(r).max() > target:
+        iterations += 1
+        q = matrix @ p
+        alpha = rr / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        if np.abs(r).max() <= target:
+            r = b - matrix @ x
+            p[:] = 0.0
+        rr, rr_prev = r @ r, rr
+        p = r + (rr / rr_prev) * p
+    out = values.copy()
+    out[unknown] = x
+    return out, iterations
+
+
+@pytest.mark.parametrize("colour", [0, 1])
+@pytest.mark.parametrize("shape", [(31,), (12, 11), (6, 7, 5)])
+def test_reduced_cg_on_one_colour_unknowns(colour, shape):
+    # every unknown has only fixed neighbours: with all unknowns red the
+    # back-substitution alone solves the system, with all of them black the
+    # reduced matrix is 2d I and CG needs one step
+    rng = np.random.default_rng(7)
+    parity = sum(np.indices(shape)) % 2
+    unknown = (parity == colour) & (rng.random(shape) < 0.8)
+    values = np.where(unknown, 0.0, rng.uniform(-1.0, 1.0, shape))
+    expected = _dense_stencil_solve(values, unknown, 1 / 16, np.zeros(shape))
+    solved = values.copy()
+    residual, iterations = _cg_solve(solved, unknown, 1 / 16, SolverParams())
+    assert iterations == (0 if colour == 0 else 1)
+    assert residual <= 1e-10 * np.ptp(values[~unknown])
+    assert float(np.abs(solved[unknown] - expected).max()) <= 1e-14
+
+
+def test_reduced_cg_matches_plain_cg_on_the_ball_green_function():
+    h = 1 / 32
+    n = int(round(2 / h)) + 1
+    dom = rasterize_ball((0, 0, 0), 0.75, origin=(-1, -1, -1), spacing=h, shape=(n, n, n))
+    params = SolverParams(rtol=1e-12)
+    g = green_function(dom, (0.0, 0.0, 0.0), params)
+    interior = dom.interior_mask()
+    source = np.zeros(dom.shape)
+    source[g.pole_node] = -4.0 * np.pi / h**3
+    expected, ref_iterations = _plain_cg_solve(
+        np.zeros(dom.shape), interior, h, params.rtol, source
+    )
+    assert g.unknowns == int(interior.sum())
+    assert g.metadata()["method"] == "cg"
+    assert g.iterations <= 0.6 * ref_iterations
+    assert float(np.abs(g.values - expected)[interior].max()) <= 1e-9
+
+
+def test_reduced_cg_matches_plain_cg_on_a_continuation_layer():
+    # v = |x|^2 is subharmonic, so its harmonic replacement lies above it
+    # and the max guard never engages: the layer holds the plain solve
+    dom = disk_domain(1.0, h=1 / 64)
+    v = ScalarField(dom, np.where(dom.mask, dom.distance2_to((0, 0)), 0.0))
+    layer = _annular_layer(dom, 0.3, 0.7)
+    params = SolverParams(rtol=1e-12)
+    res = harmonic_layer_continuation(v, layer, params)
+    ring = layer.adjacent("axis").mask
+    start = np.where(ring, v.values, 0.0)
+    start[layer.mask] = v.values[ring].mean()
+    expected, ref_iterations = _plain_cg_solve(start, layer.mask, dom.spacing, params.rtol)
+    assert res.max_engaged == 0
+    assert res.iterations <= 0.6 * ref_iterations
+    assert float(np.abs(res.field.values - expected)[layer.mask].max()) <= 1e-9
