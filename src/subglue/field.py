@@ -23,7 +23,15 @@ import numpy as np
 
 from .errors import PreconditionError, _require_memory
 from .extreal import ExtReal, MINUS_INF, PLUS_INF
-from .geometry import GridDomain, NodeSet, _shifted, as_point
+from .geometry import (
+    GridDomain,
+    NodeSet,
+    _bounding_box,
+    _interior_mask,
+    _shift_slices,
+    _shifted,
+    as_point,
+)
 
 __all__ = [
     "ScalarField",
@@ -418,12 +426,38 @@ def _sphere_stencil(u: np.ndarray, strides: np.ndarray):
 
 
 def _neighbour_sum(values: np.ndarray, fill: float = np.nan) -> np.ndarray:
-    """Sum of the 2d axis neighbours, ``fill`` used beyond the lattice."""
+    """Sum of the 2d axis neighbours, ``fill`` used beyond the lattice.
+
+    The neighbours are added in place, axis by axis and +1 before -1, so
+    every node sums them in the same order."""
     total = np.zeros_like(values)
     for k in range(values.ndim):
         for step in (1, -1):
-            total = total + _shifted(values, k, step, fill)
+            dst, src, edge = _shift_slices(values.ndim, k, step)
+            total[dst] += values[src]
+            total[edge] += fill
     return total
+
+
+def _laplacian(values: np.ndarray, mask: np.ndarray, h: float):
+    """Stencil Laplacian of ``values`` on the interior nodes of ``mask``
+    (nodes beyond the array count as outside); ``(lap, interior_mask)`` as
+    for :func:`laplacian_array`.  On a bounding box of the nodes of
+    interest grown by one node, their entries are those of the whole
+    lattice."""
+    interior = _interior_mask(mask)
+    twod = 2.0 * values.ndim
+    with np.errstate(invalid="ignore"):
+        nb = _neighbour_sum(values)
+        lap = (nb - twod * values) / h**2
+    lap = np.where(interior, lap, np.nan)
+    # centre at -inf: (-inf)*(-2d) would give +inf together with a finite or
+    # -inf neighbour sum; pin the convention explicitly.
+    centre_minus = interior & (values == -np.inf)
+    nb_minus = interior & (nb == -np.inf)
+    lap[nb_minus & ~centre_minus] = -np.inf
+    lap[centre_minus] = np.inf
+    return lap, interior
 
 
 def laplacian_array(v: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -433,21 +467,7 @@ def laplacian_array(v: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     are NaN.  Stencils touching a -inf value produce -inf (neighbour) or
     +inf (centre at -inf); callers decide how to treat those.
     """
-    dom = v.domain
-    interior = dom.interior_mask()
-    h2 = dom.spacing**2
-    twod = 2.0 * dom.dim
-    with np.errstate(invalid="ignore"):
-        nb = _neighbour_sum(v.values)
-        lap = (nb - twod * v.values) / h2
-    lap = np.where(interior, lap, np.nan)
-    # centre at -inf: (-inf)*(-2d) would give +inf together with a finite or
-    # -inf neighbour sum; pin the convention explicitly.
-    centre_minus = interior & (v.values == -np.inf)
-    nb_minus = interior & (nb == -np.inf)
-    lap[nb_minus & ~centre_minus] = -np.inf
-    lap[centre_minus] = np.inf
-    return lap, interior
+    return _laplacian(v.values, v.domain.mask, v.domain.spacing)
 
 
 def discrete_laplacian(v: ScalarField, node) -> ExtReal:
@@ -484,12 +504,14 @@ def default_certification_tol(v: ScalarField) -> float:
     return 1e-8 * rng + 4.0 * v.spacing**2
 
 
-def _worst_index(arr: np.ndarray, where_mask: np.ndarray):
+def _worst_index(arr: np.ndarray, where_mask: np.ndarray, box):
+    """Lattice index of the first maximum of ``arr`` over ``where_mask``,
+    both given on ``box``; None when the mask is empty."""
     if not where_mask.any():
         return None
     masked = np.where(where_mask, arr, -np.inf)
     idx = np.unravel_index(np.argmax(masked), arr.shape)
-    return tuple(int(i) for i in idx)
+    return tuple(int(i) + s.start for i, s in zip(idx, box))
 
 
 def is_subharmonic(
@@ -509,17 +531,20 @@ def is_subharmonic(
     """
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")
-    lap, interior = laplacian_array(v)
-    tested = interior.copy()
     if exclude is not None:
         v.domain.require_same_lattice(exclude.domain)
-        tested &= ~exclude.mask
+    # the interior nodes and their neighbours lie in the box of the active
+    # nodes; an empty box, for a domain without active nodes, tests none
+    box = _bounding_box(v.domain.mask) or (slice(0, 0),) * v.domain.dim
+    lap, tested = _laplacian(v.values[box], v.domain.mask[box], v.spacing)
+    if exclude is not None:
+        tested &= ~exclude.mask[box]
     skipped = tested & ~np.isfinite(lap)
     tested &= np.isfinite(lap)
     violation = np.where(tested, np.maximum(0.0, -lap), 0.0)
     worst = float(violation.max()) if tested.any() else 0.0
     return check(
-        name, tag, worst, tol, _worst_index(violation, tested), kind,
+        name, tag, worst, tol, _worst_index(violation, tested, box), kind,
         tested_nodes=int(tested.sum()), minus_inf_skipped=int(skipped.sum()),
     )
 
@@ -541,8 +566,11 @@ def is_harmonic(
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")
     v.domain.require_same_lattice(region.domain)
-    lap, interior = laplacian_array(v)
-    tested = region.mask & interior
+    # the region's nodes and their neighbours lie in its box grown by one
+    # node; an empty box, for an empty region, tests none
+    box = _bounding_box(region.mask, grow=1) or (slice(0, 0),) * v.domain.dim
+    lap, interior = _laplacian(v.values[box], v.domain.mask[box], v.spacing)
+    tested = region.mask[box] & interior
     if not tested.any():
         raise PreconditionError("no interior node to test in the region")
     bad_inf = tested & ~np.isfinite(lap)
@@ -550,7 +578,7 @@ def is_harmonic(
         violation = np.where(tested & np.isfinite(lap), np.abs(lap), 0.0)
     violation[bad_inf] = np.inf
     return check(
-        name, tag, violation.max(), tol, _worst_index(violation, tested), kind,
+        name, tag, violation.max(), tol, _worst_index(violation, tested, box), kind,
         tested_nodes=int(tested.sum()),
     )
 
@@ -566,8 +594,13 @@ def neighbour_max(v: ScalarField, from_set: NodeSet) -> np.ndarray:
     v.domain.require_same_lattice(from_set.domain)
     if np.any(from_set.mask & ~v.domain.mask):
         raise PreconditionError("approach set must lie in the field's active nodes")
-    src = np.where(from_set.mask, v.values, -np.inf)
     out = np.full(v.domain.shape, -np.inf)
+    # a node with a neighbour in from_set lies in its box grown by one node
+    box = _bounding_box(from_set.mask, grow=1)
+    if box is None:
+        return out
+    near = out[box]
+    src = np.where(from_set.mask[box], v.values[box], -np.inf)
     for offset in np.ndindex(*(3,) * v.domain.dim):
         if all(o == 1 for o in offset):
             continue
@@ -575,7 +608,7 @@ def neighbour_max(v: ScalarField, from_set: NodeSet) -> np.ndarray:
         for k, o in enumerate(offset):
             if o != 1:
                 shifted = _shifted(shifted, k, o - 1, -np.inf)
-        out = np.maximum(out, shifted)
+        np.maximum(near, shifted, out=near)
     return out
 
 

@@ -118,6 +118,42 @@ class Box:
         return inside
 
 
+def _bounding_box(mask: np.ndarray, grow: int = 0):
+    """Slices of the smallest box that holds the mask's members, grown by
+    ``grow`` nodes on every side and clipped to the lattice; None for an
+    empty mask.
+
+    Row-major order inside the box is the lattice's row-major order, so a
+    numbering, an argmin or a sum taken over the box gives what it gives
+    over the whole lattice.
+    """
+    box = []
+    for k, n in enumerate(mask.shape):
+        others = tuple(j for j in range(mask.ndim) if j != k)
+        hit = np.flatnonzero(mask.any(axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(max(int(hit[0]) - grow, 0), min(int(hit[-1]) + 1 + grow, n)))
+    return tuple(box)
+
+
+def _shift_slices(ndim: int, axis: int, step: int):
+    """``(dst, src, edge)`` index tuples with ``arr[src]`` the values that
+    land on ``dst`` when shifting by ``step`` along ``axis``
+    (``out[i] = arr[i + step]``), and ``edge`` the nodes whose source lies
+    beyond the lattice."""
+    src = [slice(None)] * ndim
+    dst = [slice(None)] * ndim
+    edge = [slice(None)] * ndim
+    if step > 0:
+        src[axis], dst[axis] = slice(step, None), slice(None, -step)
+        edge[axis] = slice(-step, None)
+    else:
+        src[axis], dst[axis] = slice(None, step), slice(-step, None)
+        edge[axis] = slice(None, -step)
+    return tuple(dst), tuple(src), tuple(edge)
+
+
 def _shifted(arr: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
     """``out[i] = arr[i + step]`` along ``axis``, ``fill`` beyond the lattice.
 
@@ -125,13 +161,8 @@ def _shifted(arr: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
     never sees the opposite edge as its neighbour.
     """
     out = np.full_like(arr, fill)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if step > 0:
-        src[axis], dst[axis] = slice(step, None), slice(None, -step)
-    else:
-        src[axis], dst[axis] = slice(None, step), slice(-step, None)
-    out[tuple(dst)] = arr[tuple(src)]
+    dst, src, _ = _shift_slices(arr.ndim, axis, step)
+    out[dst] = arr[src]
     return out
 
 
@@ -151,6 +182,17 @@ def _moore_structure(d: int) -> np.ndarray:
 
 def _axis_structure(d: int) -> np.ndarray:
     return ndimage.generate_binary_structure(d, 1)
+
+
+def _moore_labels(mask: np.ndarray):
+    """``(labels, box, count)``: the Moore-connected components of the mask
+    labelled on its bounding box ``box``, and how many there are; ``(None,
+    None, 0)`` for an empty mask."""
+    box = _bounding_box(mask)
+    if box is None:
+        return None, None, 0
+    labels, count = ndimage.label(mask[box], structure=_moore_structure(mask.ndim))
+    return labels, box, int(count)
 
 
 class GridDomain:
@@ -237,8 +279,7 @@ class GridDomain:
         return self.mask & ~self.interior_mask()
 
     def component_count(self) -> int:
-        _, n = ndimage.label(self.mask, structure=_moore_structure(self.dim))
-        return int(n)
+        return _moore_labels(self.mask)[2]
 
     def nearest_active_node(self, p) -> tuple:
         """Index of the active node closest to ``p`` (first in row-major
@@ -350,7 +391,11 @@ class NodeSet:
             if connectivity == "moore"
             else _axis_structure(self.domain.dim)
         )
-        return NodeSet(self.domain, ndimage.binary_dilation(self.mask, struct))
+        out = np.zeros(self.domain.shape, dtype=bool)
+        box = _bounding_box(self.mask, grow=1)
+        if box is not None:
+            out[box] = ndimage.binary_dilation(self.mask[box], struct)
+        return NodeSet(self.domain, out)
 
     def adjacent(self, connectivity: str = "moore") -> "NodeSet":
         """Nodes not in the set that touch it."""
@@ -366,17 +411,19 @@ class NodeSet:
         return NodeSet(self.domain, _interior_mask(self.mask))
 
     def is_connected(self) -> bool:
-        if self.is_empty():
-            return False
-        _, n = ndimage.label(self.mask, structure=_moore_structure(self.domain.dim))
-        return n == 1
+        return _moore_labels(self.mask)[2] == 1
 
     def component_containing(self, index) -> "NodeSet":
-        labels, _ = ndimage.label(self.mask, structure=_moore_structure(self.domain.dim))
-        lab = labels[tuple(index)]
-        if lab == 0:
+        index = tuple(index)
+        if not self.mask[index]:
             raise PreconditionError("node is not a member of the set")
-        return NodeSet(self.domain, labels == lab)
+        labels, box, _ = _moore_labels(self.mask)
+        # the index as the mask reads it (negative entries count from the
+        # end), relative to the box
+        local = tuple(i % n - s.start for i, n, s in zip(index, self.domain.shape, box))
+        out = np.zeros(self.domain.shape, dtype=bool)
+        out[box] = labels == labels[local]
+        return NodeSet(self.domain, out)
 
     def compactly_inside(self, other: "NodeSet") -> bool:
         """Whether the set plus its Moore shell lies inside ``other`` (the

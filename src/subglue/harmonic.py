@@ -7,7 +7,11 @@ positive definite Schur complement over the black unknowns (the "reduced
 system" of Hageman & Young, *Applied Iterative Methods*, 1981, ch. 9), with
 a quarter of the full Laplacian's condition number and so about half its
 iterations, and the red values are back-substituted.  The fixed data are
-folded into the right-hand side.  A solve stops once the max-norm of the
+folded into the right-hand side.  The system is assembled on the bounding
+box of the unknowns grown by one node, not on the whole lattice: row-major
+order in the box is the lattice's, so the numbering, the colours and every
+sum are the same, while the assembly for a small domain in a large lattice
+touches only the domain's box.  A solve stops once the max-norm of the
 stencil residual over both colours meets the target; the iteration is
 deterministic.  The Green's function of a domain D with pole o is obtained by
 solving the discrete Poisson problem with a normalized point source at the
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .field import ScalarField
-from .geometry import GridDomain, NodeSet, Point, as_point
+from .geometry import GridDomain, NodeSet, Point, _bounding_box, as_point
 
 __all__ = [
     "SolverParams",
@@ -63,27 +67,36 @@ class SolverParams:
 def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source):
     """The stencil system on the unknowns, split by colour.
 
-    A node is black when its index sum is odd and red when it is even; the
-    2d-point stencil couples only nodes of opposite colour.  Returns
-    ``(red, black, adj, adj_t, b_red, b_black)``: the two colour masks, the
-    0/1 red-to-black adjacency ``N`` (CSR, rows red and columns black, each
-    colour numbered in row-major order) and ``N^T``, and the right-hand
-    side of each colour, which holds the fixed neighbour values (0 beyond
-    the lattice) minus ``h^2 source`` (a full-lattice array, or None).  The
-    full system is ``2d u_red - N u_black = b_red`` and
-    ``2d u_black - N^T u_red = b_black``.
+    A node is black when its lattice index sum is odd and red when it is
+    even; the 2d-point stencil couples only nodes of opposite colour.  The
+    system is assembled on ``box``, the bounding box of the unknowns grown
+    by one node (clipped to the lattice), which holds every unknown and
+    every fixed neighbour of one.  Returns ``(box, red, black, adj, adj_t,
+    b_red, b_black)``: the box (a tuple of slices of the lattice), the two
+    colour masks on the box, the 0/1 red-to-black adjacency ``N`` (CSR, rows
+    red and columns black, each colour numbered in row-major order, which
+    is the lattice's order) and ``N^T``, and the right-hand side of each
+    colour, which holds the fixed neighbour values (0 beyond the lattice)
+    minus ``h^2 source`` (a full-lattice array, or None).  The full system
+    is ``2d u_red - N u_black = b_red`` and ``2d u_black - N^T u_red =
+    b_black``.
     """
     # imported here, not at module level, so that importing subglue for
     # capacity or certification alone does not load scipy.sparse
     from scipy import sparse
 
+    box = _bounding_box(unknown, grow=1)
+    values = values[box]
+    unknown = unknown[box]
+    # the colour is the parity of the lattice index, box start included
     odd = functools.reduce(
-        np.logical_xor, (i % 2 == 1 for i in np.indices(values.shape, sparse=True))
+        np.logical_xor,
+        ((i + s.start) % 2 == 1 for i, s in zip(np.indices(values.shape, sparse=True), box)),
     )
     red = unknown & ~odd
     black = unknown & odd
-    # on the lattice padded by one node, the 2d neighbours of flat index i
-    # sit at i + offsets, in ascending order; the pad stands for the nodes
+    # on the box padded by one node, the 2d neighbours of flat index i sit
+    # at i + offsets, in ascending order; the pad stands for the nodes
     # beyond the lattice (unnumbered, value 0)
     number = np.full(values.shape, -1, dtype=np.int32)
     number[black] = np.arange(np.count_nonzero(black), dtype=np.int32)
@@ -109,9 +122,10 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source)
     b_red = fixed[at].sum(axis=1)
     b_black = fixed[neighbours(black)].sum(axis=1)
     if source is not None:
+        source = source[box]
         b_red -= (h * h) * source[red]
         b_black -= (h * h) * source[black]
-    return red, black, adj, adj.T.tocsr(), b_red, b_black
+    return box, red, black, adj, adj.T.tocsr(), b_red, b_black
 
 
 def _cg_solve(
@@ -149,7 +163,10 @@ def _cg_solve(
     if not unknown.any():
         return 0.0, 0
 
-    red, black, adj, adj_t, b_red, b_black = _red_black_system(values, unknown, h, source)
+    box, red, black, adj, adj_t, b_red, b_black = _red_black_system(
+        values, unknown, h, source
+    )
+    view = values[box]
     diag = 2.0 * values.ndim
 
     def back_substitute(x):
@@ -165,7 +182,7 @@ def _cg_solve(
         residual = max(np.abs(r_red).max(initial=0.0), np.abs(r).max(initial=0.0))
         return x_red, r, float(residual)
 
-    x = values[black]
+    x = view[black]
     x_red, r, residual = back_substitute(x)
     iterations = 0
     p = r.copy()
@@ -189,8 +206,8 @@ def _cg_solve(
     converged = residual <= target
     if not converged:  # the values left behind carry their true residual
         x_red, _, residual = back_substitute(x)
-    values[red] = x_red
-    values[black] = x
+    view[red] = x_red
+    view[black] = x
     if not converged:
         raise ConvergenceError(
             f"CG did not reach residual {target:g} within {params.max_iter} "
@@ -289,6 +306,38 @@ def _source_strength(d: int) -> float:
     return (d - 2) * area
 
 
+def _snap_pole(domain: GridDomain, interior: np.ndarray, o: Point):
+    """The interior node nearest to ``o`` (first in row-major order on
+    ties) and its distance; raises when it is farther than ``sqrt(d) h``.
+
+    Only the box of nodes within ``sqrt(d) h`` of ``o`` on every axis,
+    padded by one node against rounding, is searched: a node farther out
+    is too far either way.
+    """
+    h = domain.spacing
+    reach = math.sqrt(domain.dim)
+    box = []
+    for k, n in enumerate(domain.shape):
+        # the pole in lattice units, clamped so that a far pole stays finite
+        t = min(max((o[k] - domain.origin[k]) / h, -reach - 3.0), n + reach + 3.0)
+        lo, hi = math.floor(t - reach) - 1, math.ceil(t + reach) + 2
+        box.append(slice(max(lo, 0), min(hi, n)))
+    # an empty box is a pole beyond the lattice, maybe too far for a finite d2
+    if any(s.start >= s.stop for s in box):
+        raise PreconditionError("pole does not lie inside the domain")
+    d2 = 0.0
+    for k, s in enumerate(box):
+        c = domain.axis_coords(k)[s]
+        axis = [c.size if j == k else 1 for j in range(domain.dim)]
+        d2 = d2 + (c.reshape(axis) - o[k]) ** 2
+    d2 = np.where(interior[tuple(box)], d2, np.inf)
+    local = np.unravel_index(np.argmin(d2), d2.shape)
+    offset = float(math.sqrt(d2[local]))
+    if offset > h * reach:
+        raise PreconditionError("pole does not lie inside the domain")
+    return tuple(int(i) + s.start for i, s in zip(local, box)), offset
+
+
 def green_function(
     domain: GridDomain, o, params: SolverParams | None = None
 ) -> GreenField:
@@ -311,21 +360,14 @@ def green_function(
     interior = domain.interior_mask()
     if not interior.any():
         raise PreconditionError("domain has no interior nodes")
-    d2 = np.where(interior, domain.distance2_to(o), np.inf)
-    pole_node = tuple(
-        int(i) for i in np.unravel_index(np.argmin(d2), domain.shape)
-    )
-    offset = float(math.sqrt(d2[pole_node]))
-    if offset > domain.spacing * math.sqrt(domain.dim):
-        raise PreconditionError("pole does not lie inside the domain")
-    boundary = domain.mask & ~interior
+    pole_node, offset = _snap_pole(domain, interior, o)
     h = domain.spacing
     source = np.zeros(domain.shape)
     source[pole_node] = -_source_strength(domain.dim) / h**domain.dim
     values = np.zeros(domain.shape)
     residual, iterations = _cg_solve(values, interior, h, params, source=source)
-    values[domain.mask] = np.maximum(values[domain.mask], 0.0)
-    values[~domain.mask] = 0.0
+    # the solve writes only interior nodes, so the rest of the lattice is 0
+    np.maximum(values, 0.0, out=values)
     host = domain.full_lattice()
     gfield = ScalarField(host, values)
     return GreenField(

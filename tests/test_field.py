@@ -3,6 +3,7 @@ import pytest
 
 from subglue import (
     ExtReal,
+    GridDomain,
     MINUS_INF,
     NodeSet,
     PreconditionError,
@@ -18,7 +19,7 @@ from subglue import (
     rasterize_ball,
     spherical_mean,
 )
-from subglue.field import check
+from subglue.field import _neighbour_sum, check, laplacian_array, neighbour_max
 
 from conftest import annulus_domain, disk_domain, log_field
 
@@ -395,3 +396,149 @@ def test_mean_inf_constant_log_matches_quadrature_oracle():
         [np.log(np.linalg.norm(c + circ, axis=1)).mean() for c in pts]
     )
     assert got == pytest.approx(float(means.min()), abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# certification and neighbour maxima on the bounding box against the whole
+# lattice
+# ---------------------------------------------------------------------------
+
+
+def _padded_shift(padded, offset, shape):
+    """``padded`` (one node of padding) read at every lattice node plus
+    ``offset``."""
+    return padded[tuple(slice(1 + o, 1 + o + n) for o, n in zip(offset, shape))]
+
+
+def _whole_lattice_neighbour_sum(vals, fill):
+    """The sum of the axis neighbours, ``fill`` beyond the lattice, added
+    axis by axis, +1 before -1."""
+    d = vals.ndim
+    padded = np.pad(vals, 1, constant_values=fill)
+    nb = np.zeros_like(vals)
+    for k in range(d):
+        for step in (1, -1):
+            nb = nb + _padded_shift(padded, np.eye(d, dtype=int)[k] * step, vals.shape)
+    return nb
+
+
+def _whole_lattice_laplacian(v):
+    """The stencil Laplacian of the whole lattice."""
+    vals = v.values
+    interior = v.domain.interior_mask()
+    with np.errstate(invalid="ignore"):
+        nb = _whole_lattice_neighbour_sum(vals, np.nan)
+        lap = (nb - 2.0 * vals.ndim * vals) / v.spacing**2
+    lap = np.where(interior, lap, np.nan)
+    centre_minus = interior & (vals == -np.inf)
+    lap[interior & (nb == -np.inf) & ~centre_minus] = -np.inf
+    lap[centre_minus] = np.inf
+    return lap, interior
+
+
+def _worst_node(arr, where_mask):
+    if not where_mask.any():
+        return None
+    idx = np.unravel_index(np.argmax(np.where(where_mask, arr, -np.inf)), arr.shape)
+    return tuple(int(i) for i in idx)
+
+
+def _whole_lattice_subharmonic(v, tol, exclude):
+    lap, tested = _whole_lattice_laplacian(v)
+    if exclude is not None:
+        tested &= ~exclude
+    skipped = tested & ~np.isfinite(lap)
+    tested &= np.isfinite(lap)
+    violation = np.where(tested, np.maximum(0.0, -lap), 0.0)
+    worst = float(violation.max()) if tested.any() else 0.0
+    return check(
+        "subharmonic", "subharmonic", worst, tol, _worst_node(violation, tested),
+        tested_nodes=int(tested.sum()), minus_inf_skipped=int(skipped.sum()),
+    ).as_record()
+
+
+def _whole_lattice_harmonic(v, region, tol):
+    lap, interior = _whole_lattice_laplacian(v)
+    tested = region & interior
+    if not tested.any():
+        return "no interior node to test in the region"
+    with np.errstate(invalid="ignore"):
+        violation = np.where(tested & np.isfinite(lap), np.abs(lap), 0.0)
+    violation[tested & ~np.isfinite(lap)] = np.inf
+    return check(
+        "harmonic", "harmonic", violation.max(), tol, _worst_node(violation, tested),
+        tested_nodes=int(tested.sum()),
+    ).as_record()
+
+
+def _whole_lattice_neighbour_max(v, from_mask):
+    shape = v.values.shape
+    padded = np.pad(np.where(from_mask, v.values, -np.inf), 1, constant_values=-np.inf)
+    out = np.full(shape, -np.inf)
+    for offset in np.ndindex(*(3,) * len(shape)):
+        if offset != (1,) * len(shape):
+            out = np.maximum(out, _padded_shift(padded, np.array(offset) - 1, shape))
+    return out
+
+
+def _edge_fields(shape, seed):
+    """Fields with a few -inf values on masks that touch the lattice edge,
+    and one on a mask with no active node."""
+    rng = np.random.default_rng(seed)
+    near = np.zeros(shape, dtype=bool)
+    near[tuple(slice(0, 2 * n // 3) for n in shape)] = True
+    far = np.zeros(shape, dtype=bool)
+    far[tuple(slice(n // 4, None) for n in shape)] = True
+    out = []
+    for mask in (near & (rng.random(shape) < 0.9), far, np.zeros(shape, dtype=bool)):
+        dom = GridDomain((0.0,) * len(shape), 0.25, shape, mask)
+        vals = rng.normal(size=shape)
+        vals[rng.random(shape) < 0.03] = -np.inf
+        out.append(ScalarField(dom, np.where(mask, vals, 0.0)))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(40,), (14, 12), (8, 7, 9)])
+def test_box_certification_matches_the_whole_lattice(shape):
+    rng = np.random.default_rng(len(shape))
+    for v in _edge_fields(shape, len(shape)):
+        dom = v.domain
+        for fill in (np.nan, 0.0, -1.5):
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(
+                    _neighbour_sum(v.values, fill),
+                    _whole_lattice_neighbour_sum(v.values, fill),
+                    equal_nan=True,
+                )
+        lap, interior = laplacian_array(v)
+        ref_lap, ref_interior = _whole_lattice_laplacian(v)
+        assert np.array_equal(interior, ref_interior)
+        assert np.array_equal(lap, ref_lap, equal_nan=True)
+        corner = np.zeros(shape, dtype=bool)
+        corner[(0,) * len(shape)] = True
+        sets = [
+            None,
+            np.zeros(shape, dtype=bool),
+            corner,
+            rng.random(shape) < 0.1,
+            dom.mask & (rng.random(shape) < 0.5),
+            np.ones(shape, dtype=bool),
+        ]
+        for tol in (1e-3, 1e3):
+            for exclude in sets:
+                ref = _whole_lattice_subharmonic(v, tol, exclude)
+                ex = None if exclude is None else NodeSet(dom, exclude)
+                assert is_subharmonic(v, tol, exclude=ex).as_record() == ref
+            for region in sets[1:]:
+                ref = _whole_lattice_harmonic(v, region, tol)
+                if isinstance(ref, str):
+                    with pytest.raises(PreconditionError, match=ref):
+                        is_harmonic(v, NodeSet(dom, region), tol)
+                else:
+                    assert is_harmonic(v, NodeSet(dom, region), tol).as_record() == ref
+        for from_mask in sets[1:]:
+            from_mask = from_mask & dom.mask
+            assert np.array_equal(
+                neighbour_max(v, NodeSet(dom, from_mask)),
+                _whole_lattice_neighbour_max(v, from_mask),
+            )

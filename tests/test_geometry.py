@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from subglue import (
     Ball,
@@ -16,7 +17,7 @@ from subglue import (
     regularized_domain,
 )
 
-from subglue.geometry import _recipe_mask
+from subglue.geometry import _bounding_box, _recipe_mask
 
 from conftest import disk_domain
 
@@ -305,3 +306,69 @@ def test_point_validation():
         Ball((0, 0), -1.0)
     with pytest.raises(PreconditionError):
         Box((0, 0), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# node-set operations on the bounding box against the whole lattice
+# ---------------------------------------------------------------------------
+
+
+def _edge_masks(shape, seed):
+    """Masks that touch the near or the far lattice edge, sparse ones with
+    several components, one corner node, the whole lattice and none."""
+    rng = np.random.default_rng(seed)
+    near = np.zeros(shape, dtype=bool)
+    near[tuple(slice(0, n // 2) for n in shape)] = True
+    far = np.zeros(shape, dtype=bool)
+    far[tuple(slice(n // 3, None) for n in shape)] = True
+    corner = np.zeros(shape, dtype=bool)
+    corner[(-1,) * len(shape)] = True
+    return [
+        near & (rng.random(shape) < 0.6),
+        far & (rng.random(shape) < 0.3),
+        near & (rng.random(shape) < 0.15),
+        corner,
+        np.ones(shape, dtype=bool),
+        np.zeros(shape, dtype=bool),
+    ]
+
+
+SHAPES = [(30,), (13, 11), (7, 6, 8)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bounding_box_is_the_smallest_box_grown_and_clipped(shape):
+    for mask in _edge_masks(shape, 1):
+        for grow in (0, 1, 2):
+            box = _bounding_box(mask, grow)
+            if not mask.any():
+                assert box is None
+                continue
+            idx = np.argwhere(mask)
+            expected = tuple(
+                slice(max(lo - grow, 0), min(hi + 1 + grow, n))
+                for lo, hi, n in zip(idx.min(axis=0), idx.max(axis=0), shape)
+            )
+            assert box == expected
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_box_dilation_and_labels_match_the_whole_lattice(shape):
+    dom = GridDomain((0.0,) * len(shape), 0.1, shape, np.ones(shape, dtype=bool))
+    moore = np.ones((3,) * len(shape), dtype=bool)
+    axis = ndimage.generate_binary_structure(len(shape), 1)
+    for mask in _edge_masks(shape, 2):
+        s = NodeSet(dom, mask)
+        assert np.array_equal(s.dilate("moore").mask, ndimage.binary_dilation(mask, moore))
+        assert np.array_equal(s.dilate("axis").mask, ndimage.binary_dilation(mask, axis))
+        labels, count = ndimage.label(mask, structure=moore)
+        assert dom.with_mask(mask).component_count() == count
+        assert s.is_connected() == (count == 1)
+        for node in map(tuple, np.argwhere(mask)[::5]):
+            expected = labels == labels[node]
+            assert np.array_equal(s.component_containing(node).mask, expected)
+            negative = tuple(i - n for i, n in zip(node, shape))
+            assert np.array_equal(s.component_containing(negative).mask, expected)
+        if not mask.all():
+            with pytest.raises(PreconditionError, match="not a member"):
+                s.component_containing(tuple(np.argwhere(~mask)[0]))

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from subglue import (
     Box,
     ConvergenceError,
     NodeSet,
+    Point,
     PreconditionError,
     ScalarField,
     SolverParams,
@@ -20,7 +24,7 @@ from subglue import (
 )
 
 from subglue.field import _neighbour_sum
-from subglue.harmonic import _cg_solve
+from subglue.harmonic import _cg_solve, _red_black_system, _snap_pole
 
 from conftest import annulus_domain, disk_domain, log_field
 
@@ -456,3 +460,143 @@ def test_reduced_cg_matches_plain_cg_on_a_continuation_layer():
     assert res.max_engaged == 0
     assert res.iterations <= 0.6 * ref_iterations
     assert float(np.abs(res.field.values - expected)[layer.mask].max()) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the assembly and the pole snap on a box against the whole lattice
+# ---------------------------------------------------------------------------
+
+
+def _whole_lattice_red_black_system(values, unknown, h, source):
+    """The reduced system assembled on the whole lattice padded by one
+    node: ``(red, black, adj, adj_t, b_red, b_black)`` with lattice-shaped
+    colour masks."""
+    from scipy import sparse
+
+    odd = functools.reduce(
+        np.logical_xor, (i % 2 == 1 for i in np.indices(values.shape, sparse=True))
+    )
+    red = unknown & ~odd
+    black = unknown & odd
+    number = np.full(values.shape, -1, dtype=np.int32)
+    number[black] = np.arange(np.count_nonzero(black), dtype=np.int32)
+    number = np.pad(number, 1, constant_values=-1)
+    strides = np.array(number.strides) // number.itemsize
+    offsets = np.sort(np.concatenate([-strides, strides]))
+    number = number.ravel()
+    fixed = np.pad(np.where(unknown, 0.0, values), 1).ravel()
+
+    def neighbours(colour):
+        return np.flatnonzero(np.pad(colour, 1))[:, None] + offsets
+
+    at = neighbours(red)
+    table = number[at]
+    present = table >= 0
+    indptr = np.zeros(table.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    adj = sparse.csr_matrix(
+        (np.ones(int(indptr[-1])), table[present], indptr),
+        shape=(table.shape[0], np.count_nonzero(black)),
+    )
+    b_red = fixed[at].sum(axis=1) - (h * h) * source[red]
+    b_black = fixed[neighbours(black)].sum(axis=1) - (h * h) * source[black]
+    return red, black, adj, adj.T.tocsr(), b_red, b_black
+
+
+# (shape, first and last index of the unknowns' bounding box, parity of
+# the index sum of the grown box's start): boxes that touch the near or the
+# far lattice edge or neither, starting on either colour
+RED_BLACK_BOXES = [
+    ((40,), (0,), (24,), 0),
+    ((40,), (6,), (39,), 1),
+    ((40,), (3,), (30,), 0),
+    ((17, 15), (0, 4), (10, 14), 1),
+    ((17, 15), (3, 4), (16, 11), 1),
+    ((17, 15), (2, 6), (12, 12), 0),
+    ((9, 8, 10), (0, 0, 2), (8, 5, 9), 1),
+    ((9, 8, 10), (2, 1, 3), (6, 7, 9), 1),
+    ((9, 8, 10), (1, 2, 2), (7, 6, 8), 0),
+]
+
+
+@pytest.mark.parametrize("shape, first, last, parity", RED_BLACK_BOXES)
+def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, last, parity):
+    rng = np.random.default_rng(sum(first) + len(shape))
+    inside = np.zeros(shape, dtype=bool)
+    inside[tuple(slice(a, b + 1) for a, b in zip(first, last))] = True
+    unknown = inside & (rng.random(shape) < 0.7)
+    for k, (a, b) in enumerate(zip(first, last)):  # pin the box's faces
+        for i in (a, b):
+            face = [slice(a2, b2 + 1) for a2, b2 in zip(first, last)]
+            face[k] = i
+            unknown[tuple(face)] = True
+    values = np.where(unknown, 0.0, rng.uniform(-1.0, 1.0, shape))
+    source = rng.uniform(-5.0, 5.0, shape)
+    h = 1 / 16
+    box, *system = _red_black_system(values, unknown, h, source)
+    expected = _whole_lattice_red_black_system(values, unknown, h, source)
+    assert box == tuple(
+        slice(max(a - 1, 0), min(b + 2, n)) for a, b, n in zip(first, last, shape)
+    )
+    assert sum(s.start for s in box) % 2 == parity
+    for colour, ref in zip(system[:2], expected[:2]):
+        full = np.zeros(shape, dtype=bool)
+        full[box] = colour
+        assert np.array_equal(full, ref)
+    for matrix, ref in zip(system[2:4], expected[2:4]):
+        assert matrix.shape == ref.shape
+        assert np.array_equal(matrix.indptr, ref.indptr)
+        assert np.array_equal(matrix.indices, ref.indices)
+        assert np.array_equal(matrix.data, ref.data)
+    for rhs, ref in zip(system[4:], expected[4:]):
+        assert np.array_equal(rhs, ref)
+
+
+def _whole_lattice_pole(domain, o):
+    """The pole snap by an argmin over every interior node, as
+    ``(pole_node, offset)`` or the error message."""
+    with np.errstate(over="ignore"):
+        d2 = np.where(domain.interior_mask(), domain.distance2_to(o), np.inf)
+    node = np.unravel_index(np.argmin(d2), domain.shape)
+    offset = float(math.sqrt(d2[node]))
+    if offset > domain.spacing * math.sqrt(domain.dim):
+        return "pole does not lie inside the domain"
+    return tuple(int(i) for i in node), offset
+
+
+def _box_pole(domain, o):
+    try:
+        return _snap_pole(domain, domain.interior_mask(), Point(o))
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pole_snap_on_a_box_matches_the_whole_lattice(d):
+    # a ball that leaves the lattice, so its interior touches the lattice's
+    # inner ring, on a lattice with a non-dyadic origin along the last axis
+    h = 1 / 16
+    n = {1: 41, 2: 33, 3: 17}[d]
+    origin = (-1.0,) * (d - 1) + (-0.7,)
+    dom = rasterize_ball((0.0,) * d, 1.1, origin=origin, spacing=h, shape=(n,) * d)
+    hi = np.array(origin) + h * (n - 1)
+    rng = np.random.default_rng(d)
+    poles = list(rng.uniform(np.array(origin) - 0.3, hi + 0.3, size=(40, d)))
+    # midway between nodes: two or more nodes tie
+    cells = rng.integers(0, n - 1, size=(20, d))
+    poles += list(np.array(origin) + h * (cells + 0.5))
+    poles += [np.array(origin) + h * (cells[0] + 0.5 * (np.arange(d) == 0))]
+    # beyond the lattice: just past an edge, far away and at the float limit
+    poles += [hi + h, np.array(origin) - 2 * h, np.full(d, 50.0), np.full(d, -1e300)]
+    poles += [np.where(np.arange(d) == d - 1, 1e300, 0.0)]
+    # on boundary nodes, where the nearest interior node may lie just at
+    # the sqrt(d) h limit
+    poles += list(dom.node_points(np.argwhere(dom.boundary_mask()))[::5])
+    found = 0
+    for o in poles:
+        expected = _whole_lattice_pole(dom, o)
+        assert _box_pole(dom, o) == expected
+        found += not isinstance(expected, str)
+    assert 16 <= found <= len(poles) - 5
+    with pytest.raises(PreconditionError, match="pole does not lie inside the domain"):
+        green_function(dom, np.full(d, -1e300))
