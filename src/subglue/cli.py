@@ -96,7 +96,7 @@ class _Scene:
             b = self.field(recipe[2], domain)
             with np.errstate(invalid="ignore"):
                 vals = np.maximum(a.values, b.values)
-            return ScalarField(domain, np.where(domain.mask, vals, 0.0))
+            return ScalarField(domain, vals)
         if kind == "scale":
             return self.field(recipe[1], domain).affine_image(recipe[2], 0.0)
         if kind == "offset":
@@ -114,85 +114,29 @@ class _Scene:
 
 
 # ---------------------------------------------------------------------------
-# parameter coercion
-# ---------------------------------------------------------------------------
-
-
-def _number(key, raw, integer=False):
-    if isinstance(raw, tuple):
-        raise ConfigValueError(f"key {key!r} takes a single number")
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigValueError(f"key {key!r} is not a number: {raw!r}") from None
-    if integer and not val.is_integer():
-        raise ConfigValueError(f"key {key!r} is not an integer: {raw!r}")
-    return int(val) if integer else val
-
-
-def _p_float(params, key, default=None, integer=False):
-    if key in params:
-        return _number(key, params[key], integer)
-    if default is None:
-        raise ConfigValueError(f"missing numeric key {key!r}")
-    return default
-
-
-def _p_int(params, key, default=None) -> int:
-    return _p_float(params, key, default, integer=True)
-
-
-def _p_tol(params, key) -> float | None:
-    """An optional tolerance; absent or at most 0 means the library default."""
-    val = _p_float(params, key, -1.0)
-    return val if val > 0 else None
-
-
-def _p_point(params, key) -> tuple:
-    raw = params[key]
-    vals = raw if isinstance(raw, tuple) else (raw,)
-    try:
-        return tuple(float(v) for v in vals)
-    except ValueError:
-        raise ConfigValueError(f"key {key!r} is not a coordinate list") from None
-
-
-def _solver_params(params) -> SolverParams:
-    return SolverParams(
-        max_iter=_p_int(params, "max-iter", 1_000_000),
-        rtol=_p_float(params, "rtol", 1e-10),
-    )
-
-
-# ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
 
 
 class _Run:
-    """One command's parsed tolerances and everything it emits: check
-    reports, report constants and records, output files, the result field."""
+    """One command's config values and tolerances, and everything it emits:
+    check reports, report constants and records, output files, the result
+    field."""
 
     def __init__(self, scene: _Scene, tol_override, out_dir):
         self.scene = scene
-        self.params = params = scene.cfg.params
+        self.value = value = scene.cfg.value
         self.out_dir = out_dir
-        if tol_override is None and "tol" in params:
-            tol_override = _p_float(params, "tol")
-        self._tol = tol_override
-        self.cert_tol = _p_tol(params, "cert-tol")
-        self.harmonic_tol = _p_tol(params, "harmonic-tol")
+        self.tol = value("tol") if tol_override is None else tol_override
+        # a tolerance at or below 0 means the library default
+        self.cert_tol, self.harmonic_tol = (
+            t if t > 0 else None for t in (value("cert-tol", 0.0), value("harmonic-tol", 0.0))
+        )
         self.checks = []
         self.constants = {}
         self.records = {}
         self.outputs = []
         self.field = None
-
-    @property
-    def tol(self) -> float:
-        if self._tol is None:
-            raise ConfigValueError(f"{self.scene.cfg.command} needs a tolerance")
-        return self._tol
 
     def emit(self, name, write, data):
         """Write ``data`` to ``name`` in the output directory and list it;
@@ -229,19 +173,29 @@ def _green_reports(green, d_domain) -> list:
     ]
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose config key is present, so that an absent
+    key leaves the library's default in force."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def _solver_params(job: _Run) -> SolverParams:
+    return SolverParams(**_given(max_iter=job.value("max-iter"), rtol=job.value("rtol")))
+
+
 def _verify(job: _Run):
-    p, scene = job.params, job.scene
-    job.field = scene.field(p["field"], scene.domain(p["on"]))
-    exclude = scene.node_set(p["exclude"]) if "exclude" in p else None
+    value, scene = job.value, job.scene
+    job.field = scene.field(value("field"), scene.domain(value("on")))
+    exclude = scene.node_set(value("exclude")) if value("exclude") else None
     job.checks.append(is_subharmonic(job.field, job.tol, exclude=exclude))
 
 
 def _green(job: _Run):
-    p, scene = job.params, job.scene
-    d_domain = scene.domain(p["domain"])
-    green = green_function(d_domain, _p_point(p, "pole"), _solver_params(p))
-    if "S0" in p:
-        job.constants["M_g"] = green_min_constant(green, scene.node_set(p["S0"]))
+    value, scene = job.value, job.scene
+    d_domain = scene.domain(value("domain"))
+    green = green_function(d_domain, value("pole"), _solver_params(job))
+    if value("S0"):
+        job.constants["M_g"] = green_min_constant(green, scene.node_set(value("S0")))
     job.checks.extend(_green_reports(green, d_domain))
     job.field = green.field
     job.emit("green_meta.json", write_json, green.metadata())
@@ -249,9 +203,9 @@ def _green(job: _Run):
 
 def _two_fields(job: _Run, outer_key, inner_key):
     """The fields named by two keys on the ``on`` and ``on0`` domains."""
-    p, scene = job.params, job.scene
-    outer, inner = scene.domain(p["on"]), scene.domain(p["on0"])
-    return scene.field(p[outer_key], outer), scene.field(p[inner_key], inner)
+    value, scene = job.value, job.scene
+    outer, inner = scene.domain(value("on")), scene.domain(value("on0"))
+    return scene.field(value(outer_key), outer), scene.field(value(inner_key), inner)
 
 
 def _glue_basic(job: _Run):
@@ -266,32 +220,32 @@ def _glue_two(job: _Run):
 
 def _glue_quant(job: _Run):
     v, g = _two_fields(job, "v", "g")
-    consts = GlueConstants(*(_p_float(job.params, k) for k in ("M_v", "m_v", "M_g", "m_g")))
+    consts = GlueConstants(*(job.value(k) for k in ("M_v", "m_v", "M_g", "m_g")))
     job.glued(glue_quantitative(v, g, consts, job.tol, cert_tol=job.cert_tol))
 
 
 def _field_off_core(job: _Run):
     """The ``v`` field on the ambient set minus the core, and the core."""
-    p, scene = job.params, job.scene
-    s0 = scene.node_set(p["S0"])
-    v_domain = scene.lattice.with_mask(scene.masks[p["domain"]] & ~s0.mask)
+    value, scene = job.value, job.scene
+    s0 = scene.node_set(value("S0"))
+    v_domain = scene.lattice.with_mask(scene.masks[value("domain")] & ~s0.mask)
     if not v_domain.mask.any():
         raise PreconditionError("empty domain: ambient set minus the core is empty")
-    return scene.field(p["v"], v_domain), s0
+    return scene.field(value("v"), v_domain), s0
 
 
 def _glue_green(job: _Run):
-    p, scene = job.params, job.scene
+    value, scene = job.value, job.scene
     v, s0 = _field_off_core(job)
     res = glue_green(
         v,
         s0=s0,
-        s=scene.node_set(p["S"]),
-        d_domain=scene.domain(p["D"]),
-        o=_p_point(p, "pole"),
-        m_v=_p_float(p, "m_v"),
-        M_v=_p_float(p, "M_v"),
-        params=_solver_params(p),
+        s=scene.node_set(value("S")),
+        d_domain=scene.domain(value("D")),
+        o=value("pole"),
+        m_v=value("m_v"),
+        M_v=value("M_v"),
+        params=_solver_params(job),
         tol=job.tol,
         cert_tol=job.cert_tol,
         harmonic_tol=job.harmonic_tol,
@@ -300,42 +254,40 @@ def _glue_green(job: _Run):
 
 
 def _glue_full(job: _Run):
-    p = job.params
+    value = job.value
     v, s0 = _field_off_core(job)
     res = glue_full(
         v,
         s0=s0,
-        o=_p_point(p, "pole"),
-        r=_p_float(p, "r"),
-        M_v=_p_float(p, "M_v"),
-        params=_solver_params(p),
+        o=value("pole"),
+        r=value("r"),
+        M_v=value("M_v"),
+        params=_solver_params(job),
         tol=job.tol,
         cert_tol=job.cert_tol,
         harmonic_tol=job.harmonic_tol,
-        mean_samples=_p_int(p, "samples", 256),
+        **_given(mean_samples=value("samples")),
     )
     job.glued(res)
 
 
 def _capacity(job: _Run):
-    p = job.params
-    mode = p["mode"]
+    value = job.value
+    mode = value("mode")
     if mode not in ("fekete", "equilibrium"):
         raise ConfigValueError(f"unknown capacity mode {mode!r}")
-    if "support" in p:
-        points = job.scene.node_set(p["support"]).points()
-    elif "circle" in p:
-        spec = p["circle"]
-        if not isinstance(spec, tuple) or len(spec) != 4:
-            raise ConfigValueError("circle takes cx cy radius count")
-        cx, cy, radius = (_number("circle", x) for x in spec[:3])
-        count = _number("circle", spec[3], integer=True)
+    if value("support"):
+        points = job.scene.node_set(value("support")).points()
+    elif value("circle"):
+        cx, cy, radius, count = value("circle")
         ang = 2.0 * np.pi * np.arange(count) / count
         points = np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=1)
     else:
         raise ConfigValueError("capacity needs a support set or a circle sampler")
     if mode == "fekete":
-        rep = fekete_capacity(points, _p_int(p, "n"))
+        if value("n") is None:
+            raise ConfigValueError("mode fekete needs key 'n'")
+        rep = fekete_capacity(points, value("n"))
         job.records["capacity"] = {
             "energy": rep.energy,
             "capacity": rep.capacity,
@@ -344,7 +296,7 @@ def _capacity(job: _Run):
         }
         job.emit("points.txt", write_points, rep.points)
     else:
-        eq = equilibrium_weights(points, _p_int(p, "dim", 2))
+        eq = equilibrium_weights(points, value("dim", 2))
         job.records["capacity"] = {
             "energy": eq.energy,
             "iterations": eq.iterations,

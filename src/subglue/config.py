@@ -31,9 +31,11 @@ defined sets.  Field primitives: ``constant c``, ``kernel d o1 .. od``,
 ``affine a1 .. ad b``, ``max f g``, ``scale f k``, ``offset f b``,
 ``file path``.
 
-Commands: ``verify``, ``green``, ``glue-basic``, ``glue-two``,
-``glue-quant``, ``glue-green``, ``glue-full``, ``capacity``; their
-parameters are documented in the README.
+The command block names a command of :data:`COMMAND_KEYS`, the one table
+of the keys each command takes and the kind of each value.  ``parse_config``
+converts every value by its kind, so a malformed value is a config error
+even for a key the command does not read.  ``SceneConfig.params`` keeps the
+raw tokens; ``SceneConfig.value`` returns the converted value.
 """
 
 from __future__ import annotations
@@ -44,46 +46,45 @@ from .errors import ConfigNameError, ConfigSyntaxError, ConfigValueError
 
 __all__ = ["SceneConfig", "parse_config", "serialize_config"]
 
-COMMANDS = (
-    "verify",
-    "green",
-    "glue-basic",
-    "glue-two",
-    "glue-quant",
-    "glue-green",
-    "glue-full",
-    "capacity",
-)
-
 FIELD_PRIMITIVES = ("constant", "kernel", "affine", "max", "scale", "offset", "file")
 
-_COMMAND_KEYS = {
-    "verify": {"field", "on", "tol", "exclude"},
-    "green": {"domain", "pole", "S0", "max-iter", "rtol"},
-    "glue-basic": {"u", "on", "u0", "on0", "tol", "cert-tol"},
-    "glue-two": {"v", "on", "v0", "on0", "tol", "cert-tol"},
-    "glue-quant": {"v", "on", "g", "on0", "M_v", "m_v", "M_g", "m_g", "tol", "cert-tol"},
+# command -> key -> the kind of its value; a trailing "?" marks an optional
+# key.  Kinds: set / field, the name of a set or field block; num, a number;
+# int, an integer (4.0 counts); point, coordinates; circle, cx cy radius
+# count; word, one token.
+COMMAND_KEYS = {
+    "verify": {"field": "field", "on": "set", "tol": "num", "exclude": "set?"},
+    "green": {
+        "domain": "set", "pole": "point", "S0": "set?", "max-iter": "int?", "rtol": "num?",
+    },
+    "glue-basic": {
+        "u": "field", "on": "set", "u0": "field", "on0": "set", "tol": "num",
+        "cert-tol": "num?",
+    },
+    "glue-two": {
+        "v": "field", "on": "set", "v0": "field", "on0": "set", "tol": "num",
+        "cert-tol": "num?",
+    },
+    "glue-quant": {
+        "v": "field", "on": "set", "g": "field", "on0": "set", "M_v": "num", "m_v": "num",
+        "M_g": "num", "m_g": "num", "tol": "num", "cert-tol": "num?",
+    },
     "glue-green": {
-        "v", "domain", "S0", "S", "D", "pole", "m_v", "M_v", "tol", "cert-tol",
-        "harmonic-tol", "max-iter", "rtol",
+        "v": "field", "domain": "set", "S0": "set", "S": "set", "D": "set", "pole": "point",
+        "m_v": "num", "M_v": "num", "tol": "num", "cert-tol": "num?", "harmonic-tol": "num?",
+        "max-iter": "int?", "rtol": "num?",
     },
     "glue-full": {
-        "v", "domain", "S0", "pole", "r", "M_v", "tol", "cert-tol",
-        "harmonic-tol", "samples", "max-iter", "rtol",
+        "v": "field", "domain": "set", "S0": "set", "pole": "point", "r": "num", "M_v": "num",
+        "tol": "num", "cert-tol": "num?", "harmonic-tol": "num?", "samples": "int?",
+        "max-iter": "int?", "rtol": "num?",
     },
-    "capacity": {"mode", "support", "circle", "n", "dim"},
+    "capacity": {
+        "mode": "word", "support": "set?", "circle": "circle?", "n": "int?", "dim": "int?",
+    },
 }
 
-_REQUIRED_KEYS = {
-    "verify": {"field", "on", "tol"},
-    "green": {"domain", "pole"},
-    "glue-basic": {"u", "on", "u0", "on0", "tol"},
-    "glue-two": {"v", "on", "v0", "on0", "tol"},
-    "glue-quant": {"v", "on", "g", "on0", "M_v", "m_v", "M_g", "m_g", "tol"},
-    "glue-green": {"v", "domain", "S0", "S", "D", "pole", "m_v", "M_v", "tol"},
-    "glue-full": {"v", "domain", "S0", "pole", "r", "M_v", "tol"},
-    "capacity": {"mode"},
-}
+COMMANDS = tuple(COMMAND_KEYS)
 
 
 @dataclass
@@ -97,6 +98,14 @@ class SceneConfig:
     fields: dict = dataclass_field(default_factory=dict)
     command: str = ""
     params: dict = dataclass_field(default_factory=dict)
+
+    def value(self, key: str, default=None):
+        """The command key's value converted by its kind in
+        :data:`COMMAND_KEYS`, or ``default`` when the command omits it;
+        ``params`` keeps the raw tokens."""
+        if key not in self.params:
+            return default
+        return _convert(self, key, self.params[key])
 
 
 def _tokenize(text: str):
@@ -113,18 +122,48 @@ def _tokenize(text: str):
             yield tokens
 
 
-def _number(tok, line, col) -> float:
+def _token_number(token, kind=float):
+    """A ``(line, column, text)`` token read as a ``kind``; a syntax error
+    at the token if it is not one."""
+    line, col, tok = token
     try:
-        return float(tok)
+        return kind(tok)
     except ValueError:
-        raise ConfigSyntaxError(f"expected a number, got {tok!r}", line, col) from None
+        what = "a number" if kind is float else "an integer"
+        raise ConfigSyntaxError(f"expected {what}, got {tok!r}", line, col) from None
 
 
-def _integer(tok, line, col) -> int:
+def _key_number(key, tok, integer=False):
     try:
-        return int(tok)
+        val = float(tok)
     except ValueError:
-        raise ConfigSyntaxError(f"expected an integer, got {tok!r}", line, col) from None
+        raise ConfigValueError(f"key {key!r} is not a number: {tok!r}") from None
+    if not integer:
+        return val
+    if not val.is_integer():
+        raise ConfigValueError(f"key {key!r} is not an integer: {tok!r}")
+    return int(val)
+
+
+def _convert(cfg: SceneConfig, key: str, raw):
+    """The value of a command key from its raw token or tokens, by its kind."""
+    kind = COMMAND_KEYS[cfg.command][key].rstrip("?")
+    tokens = raw if isinstance(raw, tuple) else (raw,)
+    if kind == "point":
+        return tuple(_key_number(key, t) for t in tokens)
+    if kind == "circle":
+        if len(tokens) != 4:
+            raise ConfigValueError(f"key {key!r} takes cx cy radius count")
+        *centre_radius, count = tokens
+        return (*(_key_number(key, t) for t in centre_radius), _key_number(key, count, True))
+    if len(tokens) != 1:
+        raise ConfigValueError(f"key {key!r} takes one value, got {' '.join(tokens)!r}")
+    (tok,) = tokens
+    if kind in ("num", "int"):
+        return _key_number(key, tok, integer=kind == "int")
+    if kind != "word" and tok not in (cfg.sets if kind == "set" else cfg.fields):
+        raise ConfigNameError(f"command references unknown {kind} {tok!r}")
+    return tok
 
 
 def _parse_set_entry(tokens, sets):
@@ -138,12 +177,12 @@ def _parse_set_entry(tokens, sets):
     if kind == "ball":
         if len(args) < 2:
             raise ConfigSyntaxError("ball needs centre coordinates and a radius", line2, col2)
-        *centre, radius = [_number(t, ln, c) for ln, c, t in args]
+        *centre, radius = [_token_number(t) for t in args]
         if radius <= 0:
             raise ConfigValueError(f"line {line2}: ball radius must be positive")
         return (op, "ball", tuple(centre), radius)
     if kind == "box":
-        vals = [_number(t, ln, c) for ln, c, t in args]
+        vals = [_token_number(t) for t in args]
         if len(vals) % 2 != 0 or not vals:
             raise ConfigSyntaxError("box needs lo and hi corner coordinates", line2, col2)
         d = len(vals) // 2
@@ -169,19 +208,19 @@ def _parse_field_entry(tokens, fields):
     if prim == "constant":
         if len(args) != 1:
             raise ConfigSyntaxError("constant takes one value", line, col)
-        return ("constant", _number(args[0][2], args[0][0], args[0][1]))
+        return ("constant", _token_number(args[0]))
     if prim == "kernel":
         if len(args) < 2:
             raise ConfigSyntaxError("kernel takes a dimension and pole coordinates", line, col)
-        d = _integer(args[0][2], args[0][0], args[0][1])
-        pole = tuple(_number(t, ln, c) for ln, c, t in args[1:])
+        d = _token_number(args[0], int)
+        pole = tuple(_token_number(t) for t in args[1:])
         if len(pole) != d:
             raise ConfigValueError(f"line {line}: kernel pole must have {d} coordinates")
         return ("kernel", d, pole)
     if prim == "affine":
         if len(args) < 2:
             raise ConfigSyntaxError("affine takes slope coordinates then an offset", line, col)
-        vals = [_number(t, ln, c) for ln, c, t in args]
+        vals = [_token_number(t) for t in args]
         return ("affine", tuple(vals[:-1]), vals[-1])
     if prim == "max":
         if len(args) != 2:
@@ -196,7 +235,7 @@ def _parse_field_entry(tokens, fields):
         name = args[0][2]
         if name not in fields:
             raise ConfigNameError(f"line {line}: unknown field {name!r}")
-        return (prim, name, _number(args[1][2], args[1][0], args[1][1]))
+        return (prim, name, _token_number(args[1]))
     # file
     if len(args) != 1:
         raise ConfigSyntaxError("file takes one path", line, col)
@@ -269,16 +308,12 @@ def parse_config(text: str) -> SceneConfig:
             for key in ("origin", "spacing", "shape"):
                 if key not in entries:
                     raise ConfigValueError(f"line {line}: grid block needs {key!r}")
-            origin = tuple(
-                _number(t, ln, c) for ln, c, t in entries["origin"][1:]
-            )
+            origin = tuple(_token_number(t) for t in entries["origin"][1:])
             srow = entries["spacing"]
             if len(srow) != 2:
                 raise ConfigSyntaxError("spacing takes one value", srow[0][0], srow[0][1])
-            spacing = _number(srow[1][2], srow[1][0], srow[1][1])
-            shape = tuple(
-                _integer(t, ln, c) for ln, c, t in entries["shape"][1:]
-            )
+            spacing = _token_number(srow[1])
+            shape = tuple(_token_number(t, int) for t in entries["shape"][1:])
             if spacing <= 0:
                 raise ConfigValueError(f"line {srow[0][0]}: spacing must be positive")
             if len(origin) != len(shape) or not shape:
@@ -306,13 +341,12 @@ def parse_config(text: str) -> SceneConfig:
         else:  # command
             if command is not None:
                 raise ConfigValueError(f"line {line}: a config holds exactly one command")
-            if name not in COMMANDS:
+            if name not in COMMAND_KEYS:
                 raise ConfigNameError(f"line {line}: unknown command {name!r}")
             command = name
-            allowed = _COMMAND_KEYS[name]
             for row in body:
                 key = row[0][2]
-                if key not in allowed:
+                if key not in COMMAND_KEYS[name]:
                     raise ConfigValueError(
                         f"line {row[0][0]}: command {name!r} does not take {key!r}"
                     )
@@ -329,99 +363,45 @@ def parse_config(text: str) -> SceneConfig:
         raise ConfigValueError("config needs a grid block")
     if command is None:
         raise ConfigValueError("config needs exactly one command block")
-    missing = _REQUIRED_KEYS[command] - set(params)
+    missing = {k for k, kind in COMMAND_KEYS[command].items() if not kind.endswith("?")}
+    missing -= set(params)
     if missing:
         raise ConfigValueError(
             f"command {command!r} is missing keys: {', '.join(sorted(missing))}"
         )
-
-    cfg = SceneConfig(
-        origin=grid[0],
-        spacing=grid[1],
-        shape=grid[2],
-        sets=sets,
-        fields=fields,
-        command=command,
-        params=params,
-    )
-    _validate_references(cfg)
-    return cfg
-
-
-def _validate_references(cfg: SceneConfig):
-    d = len(cfg.shape)
-    for name, ops in cfg.sets.items():
+    d = len(grid[2])
+    for name, ops in sets.items():
         for op in ops:
             if op[1] != "set" and len(op[2]) != d:
                 raise ConfigValueError(
                     f"set {name!r}: {op[1]} of dimension {len(op[2])} on a {d}-d grid"
                 )
-    set_keys = {"on", "on0", "domain", "S0", "S", "D", "exclude", "support"}
-    field_keys = {"field", "u", "u0", "v", "v0", "g"}
-    for key, value in cfg.params.items():
-        if key in set_keys and isinstance(value, str):
-            if value not in cfg.sets:
-                raise ConfigNameError(f"command references unknown set {value!r}")
-        if key in field_keys and isinstance(value, str):
-            if value not in cfg.fields:
-                raise ConfigNameError(f"command references unknown field {value!r}")
+
+    cfg = SceneConfig(*grid, sets, fields, command, params)
+    for key in params:
+        cfg.value(key)  # converts each value and resolves the names it references
+    return cfg
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _words(entry) -> str:
+    """An entry's tokens: tuples flattened, floats by ``repr``."""
+    if isinstance(entry, tuple):
+        return " ".join(_words(e) for e in entry)
+    return repr(entry) if isinstance(entry, float) else str(entry)
+
+
+def _block(header: str, entries) -> list:
+    return [header + " {", *("  " + _words(e) for e in entries), "}"]
 
 
 def serialize_config(cfg: SceneConfig) -> str:
     """Canonical text for a config; ``parse_config`` of the output yields an
     equal :class:`SceneConfig`."""
-    out = ["grid {"]
-    out.append("  origin " + " ".join(_fmt(c) for c in cfg.origin))
-    out.append("  spacing " + _fmt(cfg.spacing))
-    out.append("  shape " + " ".join(str(n) for n in cfg.shape))
-    out.append("}")
+    grid = (("origin", cfg.origin), ("spacing", cfg.spacing), ("shape", cfg.shape))
+    out = _block("grid", grid)
     for name, ops in cfg.sets.items():
-        out.append(f"set {name} {{")
-        for op in ops:
-            if op[1] == "ball":
-                centre = " ".join(_fmt(c) for c in op[2])
-                out.append(f"  {op[0]} ball {centre} {_fmt(op[3])}")
-            elif op[1] == "box":
-                lo = " ".join(_fmt(c) for c in op[2])
-                hi = " ".join(_fmt(c) for c in op[3])
-                out.append(f"  {op[0]} box {lo} {hi}")
-            else:
-                out.append(f"  {op[0]} set {op[2]}")
-        out.append("}")
+        out += _block(f"set {name}", ops)
     for name, recipe in cfg.fields.items():
-        out.append(f"field {name} {{")
-        kind = recipe[0]
-        if kind == "constant":
-            out.append(f"  constant {_fmt(recipe[1])}")
-        elif kind == "kernel":
-            out.append(
-                f"  kernel {recipe[1]} " + " ".join(_fmt(c) for c in recipe[2])
-            )
-        elif kind == "affine":
-            out.append(
-                "  affine "
-                + " ".join(_fmt(c) for c in recipe[1])
-                + " "
-                + _fmt(recipe[2])
-            )
-        elif kind == "max":
-            out.append(f"  max {recipe[1]} {recipe[2]}")
-        elif kind in ("scale", "offset"):
-            out.append(f"  {kind} {recipe[1]} {_fmt(recipe[2])}")
-        else:
-            out.append(f"  file {recipe[1]}")
-        out.append("}")
-    out.append(f"command {cfg.command} {{")
-    for key, value in cfg.params.items():
-        if isinstance(value, tuple):
-            out.append(f"  {key} " + " ".join(_fmt(v) for v in value))
-        else:
-            out.append(f"  {key} {_fmt(value)}")
-    out.append("}")
+        out += _block(f"field {name}", [recipe])
+    out += _block(f"command {cfg.command}", cfg.params.items())
     return "\n".join(out) + "\n"

@@ -184,7 +184,7 @@ class ScalarField:
         if np.any(mask & ~self.domain.mask):
             raise PreconditionError("restriction mask leaves the active set")
         sub = self.domain.with_mask(mask)
-        return ScalarField(sub, np.where(mask, self.values, 0.0))
+        return ScalarField(sub, self.values)
 
     def affine_image(self, scale: float, offset: float) -> "ScalarField":
         """``scale * v + offset`` with ``0 * (-inf) = 0``."""
@@ -192,7 +192,7 @@ class ScalarField:
             vals = np.full(self.domain.shape, float(offset))
         else:
             vals = scale * self.values + offset
-        return ScalarField(self.domain, np.where(self.domain.mask, vals, 0.0))
+        return ScalarField(self.domain, vals)
 
     def equal_on(self, other: "ScalarField", mask: np.ndarray) -> bool:
         """Bit-exact equality of values on the given nodes."""

@@ -45,6 +45,7 @@ from .harmonic import (
     ContinuationResult,
     GreenField,
     SolverParams,
+    _snap_pole,
     green_function,
     green_min_constant,
     harmonic_layer_continuation,
@@ -292,7 +293,7 @@ def glue_basic(
     vals = u.values.copy()
     with np.errstate(invalid="ignore"):
         vals[o0_mask] = np.maximum(u.values[o0_mask], u0.values[o0_mask])
-    glued = ScalarField(u.domain, np.where(o_mask, vals, 0.0))
+    glued = ScalarField(u.domain, vals)
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
     reports.append(
@@ -421,7 +422,7 @@ def quantitative_v0(g: ScalarField, c: GlueConstants) -> ScalarField:
         with np.errstate(invalid="ignore"):
             vals = scale * (2.0 * g.values - c.M_g - c.m_g)
         vals = np.where(g.values == -np.inf, -np.inf, vals)
-    return ScalarField(g.domain, np.where(g.domain.mask, vals, 0.0))
+    return ScalarField(g.domain, vals)
 
 
 def glue_quantitative(
@@ -537,15 +538,6 @@ def _require_pole_dimension(domain: GridDomain, o):
         raise PreconditionError("pole dimension does not match the grid")
 
 
-def _snap_to_lattice(domain: GridDomain, p) -> tuple:
-    p = as_point(p)
-    idx = []
-    for k in range(domain.dim):
-        i = int(round((p[k] - domain.origin[k]) / domain.spacing))
-        idx.append(min(max(i, 0), domain.shape[k] - 1))
-    return tuple(idx)
-
-
 def glue_green(
     v: ScalarField,
     s0: NodeSet,
@@ -589,8 +581,12 @@ def glue_green(
     ambient = lattice.with_mask(o_mask)
 
     # inclusion chain: o in Int s0, s0 compactly inside s, s inside ambient
-    pole_guess = _snap_to_lattice(lattice, o)
-    if not s0.interior().mask[pole_guess]:
+    try:
+        # the lattice node nearest the pole, snapped as green_function snaps
+        pole_node = _snap_pole(lattice, np.ones(lattice.shape, dtype=bool), as_point(o))[0]
+    except PreconditionError:  # the pole lies beyond the lattice
+        pole_node = None
+    if pole_node is None or not s0.interior().mask[pole_node]:
         raise PreconditionError(
             "pole does not lie in the grid interior of the core set", tag="4.3"
         )

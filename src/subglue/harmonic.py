@@ -249,7 +249,7 @@ def solve_dirichlet(
     _cg_solve(values, interior, domain.spacing, params)
     lo, hi = float(bvals.min()), float(bvals.max())
     values[domain.mask] = np.clip(values[domain.mask], lo, hi)
-    return ScalarField(domain, np.where(domain.mask, values, 0.0))
+    return ScalarField(domain, values)
 
 
 @dataclass
@@ -455,7 +455,7 @@ def harmonic_layer_continuation(
         guarded = np.maximum(solved[layer.mask], v.values[layer.mask])
     engaged = int(np.sum(v.values[layer.mask] > solved[layer.mask]))
     out[layer.mask] = guarded
-    tilde = ScalarField(v.domain, np.where(v.domain.mask, out, 0.0))
+    tilde = ScalarField(v.domain, out)
     return ContinuationResult(
         field=tilde, max_engaged=engaged, residual=residual, iterations=iterations
     )

@@ -84,7 +84,7 @@ def kernel_field(domain: GridDomain, d: int, o) -> ScalarField:
     else:
         vals[pos] = -float(np.sign(q)) * dist[pos] ** (-float(q))
     vals[~pos] = -np.inf if d >= 2 else 0.0
-    return ScalarField(domain, np.where(domain.mask, vals, 0.0))
+    return ScalarField(domain, vals)
 
 
 def kelvin_transform(u: ScalarField, o, target: GridDomain) -> ScalarField:

@@ -497,3 +497,41 @@ def test_shape_dimension_mismatch_exits_config_status(tmp_path, capsys, entry):
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
     assert "set 'A': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("  on B\n", "  on A B\n", "on"),
+        ("  field c\n", "  field c c\n", "field"),
+        ("  tol 1e-9\n", "  tol 1e-9\n  exclude A B\n", "exclude"),
+        (SET_REFERENCES[SET_REFERENCES.index("command verify"):],
+         "command capacity {\n  mode equilibrium\n  support A B\n}\n", "support"),
+    ],
+    ids=["on", "field", "exclude", "support"],
+)
+def test_name_key_given_two_names_exits_config_status(tmp_path, capsys, old, new, key):
+    assert old in SET_REFERENCES
+    cfg = write_cfg(tmp_path, SET_REFERENCES.replace(old, new))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"key {key!r} takes one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, old",
+    [(GLUE_GREEN_BAD_POLE, "pole 0.9 0"), (GLUE_FULL_SMALL.replace("  samples 0\n", ""), "pole 0 0")],
+    ids=["glue-green", "glue-full"],
+)
+def test_far_pole_exits_precondition(tmp_path, text, old):
+    # a pole far beyond the lattice must fail the 4.3 inclusion check, not
+    # overflow while it is snapped to a node
+    assert old in text
+    cfg = write_cfg(tmp_path, text.replace(old, "pole 1e308 0"))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["tag"] == "4.3"
+    assert report["error"]["message"].endswith(
+        "pole does not lie in the grid interior of the core set"
+    )

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from subglue import (
@@ -7,6 +9,7 @@ from subglue import (
     parse_config,
     serialize_config,
 )
+from subglue.config import COMMAND_KEYS, FIELD_PRIMITIVES
 
 MINIMAL = """
 grid {
@@ -41,8 +44,7 @@ def test_round_trip_is_identity():
     assert serialize_config(again) == text
 
 
-def test_round_trip_rich_config():
-    text = """
+RICH_SCENE = """
 grid {
   origin -1.5 -1.5
   spacing 0.0625
@@ -53,22 +55,119 @@ set B {
   add ball 0 0 0.8
   sub ball 0.2 0.2 0.3
   sub set A
+  add box -0.25 -0.5 0.125 0.75
 }
+set C { add set B }
 field base { kernel 2 0.1 -0.2 }
 field lin { affine 1 -2 0.5 }
 field m { max base lin }
 field s { scale m 2.0 }
-command glue-two {
+field c { constant -0.75 }
+field o { offset c 1e-3 }
+field f { file saved/field.txt }
+"""
+
+# between them the two commands use a key of every kind
+RICH_COMMANDS = {
+    "glue-full": """
+command glue-full {
   v s
-  on A
-  v0 base
-  on0 B
+  domain B
+  S0 A
+  pole 0.1 -0.2
+  r 0.3
+  M_v -0.7985
   tol 1e-3
   cert-tol 0.05
+  harmonic-tol 0
+  samples 64.0
+  max-iter 1000
+  rtol 1e-9
 }
-"""
-    cfg = parse_config(text)
-    assert parse_config(serialize_config(cfg)) == cfg
+""",
+    "capacity": """
+command capacity {
+  mode fekete
+  support C
+  circle 0 0 1.5 64
+  n 8
+  dim 2
+}
+""",
+}
+
+
+def test_round_trip_rich_config():
+    for command, command_text in RICH_COMMANDS.items():
+        cfg = parse_config(RICH_SCENE + command_text)
+        keys = COMMAND_KEYS[command]
+        assert {keys[key] for key in cfg.params} == set(keys.values())
+        assert {op[1] for ops in cfg.sets.values() for op in ops} == {"ball", "box", "set"}
+        assert {recipe[0] for recipe in cfg.fields.values()} == set(FIELD_PRIMITIVES)
+        text = serialize_config(cfg)
+        again = parse_config(text)
+        assert again == cfg
+        assert serialize_config(again) == text
+        assert {key: again.value(key) for key in again.params} == {
+            key: cfg.value(key) for key in cfg.params
+        }
+
+
+def test_values_are_converted_by_kind():
+    full = parse_config(RICH_SCENE + RICH_COMMANDS["glue-full"])
+    assert full.params["samples"] == "64.0"
+    assert full.value("samples") == 64 and isinstance(full.value("samples"), int)
+    assert full.value("pole") == (0.1, -0.2)
+    assert full.value("r") == 0.3
+    assert full.value("v") == "s" and full.value("domain") == "B"
+    assert full.value("S") is None and full.value("S", 7) == 7
+    cap = parse_config(RICH_SCENE + RICH_COMMANDS["capacity"])
+    assert cap.value("circle") == (0.0, 0.0, 1.5, 64)
+    assert cap.value("mode") == "fekete" and cap.value("n") == 8
+
+
+@pytest.mark.parametrize(
+    "path", sorted(pathlib.Path(__file__).parent.parent.glob("demos/scene_configs/*.cfg")),
+    ids=lambda p: p.name,
+)
+def test_demo_configs_round_trip(path):
+    cfg = parse_config(path.read_text())
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("glue-full", "r 0.3", "r abc", "r"),
+        ("glue-full", "samples 64.0", "samples 4.5", "samples"),
+        ("glue-full", "pole 0.1 -0.2", "pole 0 x", "pole"),
+        ("glue-full", "max-iter 1000", "max-iter 10 20", "max-iter"),
+        ("glue-full", "domain B", "domain A B", "domain"),
+        ("glue-full", "v s", "v s s", "v"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 0 1", "circle"),
+        ("capacity", "mode fekete", "mode a b", "mode"),
+        ("capacity", "n 8", "n 4.5", "n"),
+    ],
+)
+def test_malformed_value_names_its_key(command, old, new, key):
+    text = RICH_COMMANDS[command]
+    assert old in text
+    with pytest.raises(ConfigValueError, match=f"^key {key!r} "):
+        parse_config(RICH_SCENE + text.replace(old, new))
+
+
+def test_rich_commands_cover_every_kind():
+    kinds = {"set", "field", "num", "int", "point", "circle", "word"}
+    for keys in COMMAND_KEYS.values():
+        assert {kind.removesuffix("?") for kind in keys.values()} <= kinds
+    used = {
+        COMMAND_KEYS[command][key].removesuffix("?")
+        for command, text in RICH_COMMANDS.items()
+        for key in parse_config(RICH_SCENE + text).params
+    }
+    assert used == kinds
 
 
 def test_unknown_field_primitive_is_named_error():
