@@ -10,6 +10,7 @@ commands, a ``field.txt``; ``--render`` adds a ``field.pgm``.  Exit status:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -24,6 +25,7 @@ from .errors import (
     ConvergenceError,
     PreconditionError,
     SubglueError,
+    _require_memory,
 )
 from .field import ScalarField, check, is_harmonic, is_subharmonic
 from .fieldio import read_field, write_field, write_json, write_pgm, write_points
@@ -55,6 +57,9 @@ class _Scene:
     def __init__(self, cfg: SceneConfig, base_dir: str):
         self.cfg = cfg
         self.base_dir = base_dir
+        # fields and distance fields are float64 arrays of the whole lattice
+        nodes = math.prod(cfg.shape)
+        _require_memory(8 * nodes, f"a float64 array of the {nodes:,}-node lattice")
         self.lattice = GridDomain(
             cfg.origin, cfg.spacing, cfg.shape, np.ones(cfg.shape, dtype=bool)
         )
@@ -280,6 +285,7 @@ def _capacity(job: _Run):
         points = job.scene.node_set(value("support")).points()
     elif value("circle"):
         cx, cy, radius, count = value("circle")
+        _require_memory(16 * count, f"a {count:,}-point circle sample")
         ang = 2.0 * np.pi * np.arange(count) / count
         points = np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=1)
     else:

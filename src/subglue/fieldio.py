@@ -14,7 +14,10 @@ The ``mask rle`` line run-length-encodes the row-major boolean mask as
 alternating run lengths starting with the inactive run (a leading 0 means
 the mask starts active).  After the header come the active-node values in
 row-major order, one per line, written with ``repr`` so the round trip is
-bit-exact; ``-inf`` is the literal minus-infinity.
+bit-exact; ``-inf`` is the literal minus-infinity.  The writer calls ``repr``
+once per distinct float64 bit pattern and reuses the string for every node
+that holds it; the bits keep ``-0.0``, ``0.0`` and ``-inf`` apart, so the
+bytes are those of one ``repr`` per node.
 """
 
 from __future__ import annotations
@@ -93,8 +96,12 @@ def field_to_text(v: ScalarField) -> str:
         f"spacing {dom.spacing!r}",
         "mask rle " + " ".join(str(r) for r in _rle_encode(dom.mask.ravel())),
     ]
+    # repr depends only on a value's bits, so each distinct bit pattern is
+    # formatted once and the strings are gathered back in row-major order;
     # tolist() yields Python floats, whose repr round-trips bit-exactly
-    lines.extend(map(repr, v.values[dom.mask].tolist()))
+    bits, where = np.unique(v.values[dom.mask].view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    lines.extend(texts[where].tolist())
     return "\n".join(lines) + "\n"
 
 

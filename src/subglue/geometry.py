@@ -492,14 +492,18 @@ def parallel_set(s: NodeSet, r: float) -> NodeSet:
 
 def dist_to_complement(s: NodeSet, o: GridDomain) -> float:
     """Minimum Euclidean distance from a node of ``s`` to an inactive node of
-    ``o``'s lattice or to the lattice's outermost node ring."""
+    ``o``'s lattice or to the lattice's outermost node ring.
+
+    Set distance is symmetric, so this reads the cached ``s.distance`` at
+    those nodes; the parallel sets of ``s`` threshold the same field, so one
+    distance transform serves both."""
     s.domain.require_same_lattice(o)
     if s.is_empty():
         raise PreconditionError("distance from an empty node set")
     if not s.issubset(o.active_set()):
         raise PreconditionError("node set must lie in the domain's active nodes")
     ring = ~_interior_mask(np.ones(o.shape, dtype=bool))
-    return float(NodeSet(o, ~o.mask | ring).distance[s.mask].min())
+    return float(s.distance[~o.mask | ring].min())
 
 
 def regularized_domain(s0: NodeSet, r: float, host: GridDomain) -> GridDomain:

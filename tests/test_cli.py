@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -427,6 +428,71 @@ def test_capacity_over_memory_budget_exits_precondition(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == 3
     assert "320,000,000,000 bytes" in report["error"]["message"]
+
+
+HUGE_GRID = """
+grid {
+  origin -1 -1
+  spacing 0.0078125
+  shape 200000 200000
+}
+set O { add ball 0 0 1 }
+field c { constant 1 }
+command verify {
+  field c
+  on O
+  tol 1e-6
+}
+"""
+
+# runs main() with the address space capped at 1 GiB, so an allocation that
+# skipped its guard fails at once with a MemoryError traceback (exit 1)
+# instead of reserving tens of gigabytes
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from subglue.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "text, nbytes",
+    [
+        (
+            CAPACITY_CIRCLE.replace("mode fekete", "mode equilibrium").replace(
+                "circle 0 0 1 64", "circle 0 0 1 100000000000"
+            ),
+            "1,600,000,000,000 bytes",  # the (count, 2) float64 sample
+        ),
+        (HUGE_GRID, "320,000,000,000 bytes"),  # one float64 lattice array
+    ],
+    ids=["circle-sampler", "lattice"],
+)
+def test_config_sized_allocation_is_guarded(tmp_path, text, nbytes):
+    cfg = write_cfg(tmp_path, text)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert nbytes in proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert nbytes in report["error"]["message"]
+
+
+def test_2049_lattice_passes_the_lattice_guard(tmp_path):
+    # a 2049 x 2049 lattice array takes 34 MB, well inside the budget
+    text = HUGE_GRID.replace("shape 200000 200000", "shape 2049 2049").replace(
+        "add ball 0 0 1", "add ball 0 0 0.05"
+    )
+    cfg = write_cfg(tmp_path, text)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0
 
 
 def test_capacity_n_is_required_only_by_fekete(tmp_path, capsys):

@@ -100,6 +100,47 @@ def test_field_text_matches_per_value_repr():
     assert text.endswith("\n")
 
 
+def _writer_cases():
+    rng = np.random.default_rng(29)
+    disk = disk_domain(1.0, h=1 / 16)
+    distinct = np.zeros(disk.shape)
+    distinct[disk.mask] = rng.normal(size=disk.active_count) * 10.0 ** rng.integers(
+        -300, 300, size=disk.active_count
+    )
+    readme = disk_domain(1.0, h=1 / 128)
+    line = rasterize([("add", Ball((0.0,), 1.0))], origin=(-1.0,), spacing=0.1, shape=(21,))
+    ball3 = rasterize(
+        [("add", Ball((0, 0, 0), 1.0))], origin=(-1, -1, -1), spacing=0.25, shape=(9, 9, 9)
+    )
+    lone = disk.with_mask(disk.distance2_to((0.0, 0.0)) == 0)
+    return {
+        "all-distinct": ScalarField(disk, distinct),
+        "readme-kernel-disk": kernel_field(readme, 2, (0.0, 0.0)),
+        "constant": ScalarField.constant(disk, -3.5),
+        "1-d": ScalarField(line, np.sin(7.0 * line.coordinate_grids()[0])),
+        "3-d": kernel_field(ball3, 3, (0.1, 0.0, -0.2)),
+        "one-node": ScalarField(lone, np.where(lone.mask, 0.1, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_cases()))
+def test_field_text_is_one_repr_per_node(name, tmp_path):
+    # the writer formats each distinct bit pattern once; the bytes must be
+    # those of the plain per-node join
+    v = _writer_cases()[name]
+    values = v.values[v.domain.mask]
+    text = field_to_text(v)
+    *header, body = text.split("\n", 5)
+    assert body == "\n".join(map(repr, values.tolist())) + "\n"
+    assert header[0] == f"dim {v.domain.dim}"
+    path = tmp_path / "f.txt"
+    write_field(v, path)
+    assert path.read_text() == text
+    back = read_field(path)
+    assert back.domain == v.domain
+    assert np.array_equal(back.values[v.domain.mask].view(np.int64), values.view(np.int64))
+
+
 def test_field_file_header_validation():
     with pytest.raises(PreconditionError):
         field_from_text("dim 2\nshape 4 4\norigin 0 0\nspacing 0.5\n")

@@ -269,6 +269,46 @@ def test_dist_to_complement_concentric_balls():
     assert abs(got - 0.75) <= 2 * h
 
 
+def _dist_to_complement_edt_of_complement(s, o):
+    """The formula that transformed the complement itself, as a reference."""
+    ring = np.ones(o.shape, dtype=bool)
+    ring[(slice(1, -1),) * o.dim] = False
+    target = ~o.mask | ring
+    edt = ndimage.distance_transform_edt(~target, sampling=[o.spacing] * o.dim)
+    return float(edt[s.mask].min())
+
+
+def test_dist_to_complement_matches_the_complement_transform():
+    # bit for bit: the distance of one node pair does not depend on which
+    # end the transform starts from
+    rng = np.random.default_rng(17)
+    cases = 0
+    for d, n in ((2, 24), (3, 10)):
+        for h in (1 / 128, 0.1, 1 / 3, 1.0):
+            for _ in range(12):
+                shape = tuple(int(k) for k in rng.integers(n // 2, n, size=d))
+                o_mask = rng.random(shape) < rng.uniform(0.6, 1.0)
+                s_mask = o_mask & (rng.random(shape) < rng.uniform(0.02, 0.4))
+                if not s_mask.any():
+                    continue
+                o = GridDomain((0.0,) * d, h, shape, o_mask)
+                s = NodeSet(o, s_mask)
+                assert dist_to_complement(s, o) == _dist_to_complement_edt_of_complement(s, o)
+                cases += 1
+    # sets touching the outer ring, and a lattice with no inactive node
+    dom = _full_grid(h=0.25, n=9)
+    edge = np.zeros(dom.shape, dtype=bool)
+    edge[0, 3] = edge[4, 4] = True
+    next_to_edge = np.zeros(dom.shape, dtype=bool)
+    next_to_edge[1, 1:-1] = True
+    for mask in (edge, next_to_edge, ~edge):
+        s = NodeSet(dom, mask)
+        assert dist_to_complement(s, dom) == _dist_to_complement_edt_of_complement(s, dom)
+    assert dist_to_complement(NodeSet(dom, edge), dom) == 0.0
+    assert dist_to_complement(NodeSet(dom, next_to_edge), dom) == 0.25
+    assert cases > 80
+
+
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------

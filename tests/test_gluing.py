@@ -356,7 +356,8 @@ def test_glue_full_pipeline_invariants(pipeline_scene):
 
 
 def test_glue_full_computes_two_distance_fields(monkeypatch):
-    # one for dist_to_complement, one shared by every parallel set of the core
+    # one, shared by dist_to_complement and every parallel set of the core:
+    # the distance to the complement is read off the core's own field
     from subglue import geometry
 
     calls = []
@@ -377,4 +378,4 @@ def test_glue_full_computes_two_distance_fields(monkeypatch):
     res = glue_full(v, core, o=(0, 0), r=0.3, M_v=float(np.log(0.45)),
                     tol=1e-6 + 100 * h * h, cert_tol=0.05)
     assert res.verified
-    assert len(calls) == 2
+    assert len(calls) == 1
