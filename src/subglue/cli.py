@@ -444,6 +444,15 @@ def main(argv=None) -> int:
         print(f"subglue: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
+    # failing checks go to stderr even with --quiet
+    for c in report["checks"]:
+        if not c["pass"]:
+            print(
+                f"subglue: check failed: {c['tag']} {c['name']}: "
+                f"worst={c['worst_violation']:.3e} tol={c['tol']:.3e} "
+                f"location={c['location']}",
+                file=sys.stderr,
+            )
     if not args.quiet:
         n_pass = sum(1 for c in report["checks"] if c["pass"])
         print(

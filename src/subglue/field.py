@@ -53,6 +53,17 @@ _WEIGHT_EPS = 1e-12
 # block's corner arrays hold at most this many points times 2**d entries,
 # which with a few lattice-sized arrays bounds the stage's memory.
 _MEAN_BLOCK_POINTS = 2**15
+# The mean stage's screen.  A centre is recomputed exactly when its screened
+# mean is within twice _SCREEN_SLACK times the largest |value| of the least
+# one, or when one of its samples has active corners weighing less than
+# _SCREEN_MIN_WEIGHT: renormalizing divides the rounding difference between
+# the screen's corner weights and interpolate's by that weight.
+_SCREEN_SLACK = 1e-9
+_SCREEN_MIN_WEIGHT = 1e-2
+# Peak bytes per node of the padded box while one FFT correlation runs: the
+# two half spectra and the real result (tracemalloc: 24.0-24.8 B on 2-d and
+# 3-d boxes of 18k to 1.2M nodes).
+_FFT_BYTES_PER_NODE = 25
 
 
 @dataclass
@@ -331,12 +342,28 @@ def mean_inf_constant(
     """Infimum over the shell nodes of the spherical mean of ``v`` at radius
     ``r/3`` (the averaging radius is one third of the supplied ``r``).
 
-    The values are those of ``spherical_mean`` at every shell node.  The
-    sample points' corner weights relative to a lattice node are the same
-    for every node, so they are summed once into a stencil; centres whose
-    stencil leaves the lattice box or touches an inactive node are
-    interpolated point by point instead.  Centres go in blocks of a fixed
-    number of sample points, so memory does not grow with the shell.
+    The value is the least of the exact means, each that of
+    ``spherical_mean`` at its node.  The sample points' corner weights
+    relative to a lattice node are the same for every node, so they are
+    summed once into a stencil: a centre whose stencil lies in the lattice
+    box on active nodes takes the stencil sum, gathered in blocks of a fixed
+    number of sample points; every other centre is interpolated point by
+    point.
+
+    Only the centres that could hold the infimum are computed exactly.  A
+    screen first estimates every mean: one FFT correlation of the field with
+    the stencil over the box of the centres, and for centres whose stencil
+    touches an inactive node the sample weights renormalized over the active
+    corners.  The slack is ``1e-9`` times the largest ``|value|`` in that
+    box; the screen's error is about ``1e-15`` of it.  Every centre whose
+    screened mean is within twice the slack of the least one is recomputed
+    exactly, and so is every centre the screen cannot bound: one whose
+    stencil leaves the lattice box, one that may be absorbed by a -inf, and
+    one with a sample whose active corners are too light to renormalize (an
+    escaping sphere among them, which raises).  The result is bit-identical
+    to the least exact mean over the whole shell whenever the screen's error
+    is below the slack.  When all means tie, as on a constant field, every
+    centre is recomputed.
     """
     _require_samples(samples, v.domain.dim)
     v.domain.require_same_lattice(shell.domain)
@@ -350,7 +377,7 @@ def mean_inf_constant(
     # c + radius * directions gives exactly the points sphere_points(c, ...)
     directions = sphere_points((0.0,) * d, 1.0, samples, d)
     nodes = shell.indices()
-    centres = shell.points()
+    centres = dom.node_points(nodes)
     try:
         # rounding is monotone, so each sphere's extreme coordinates are
         # those of its centre plus the extreme directions: testing these
@@ -361,30 +388,84 @@ def mean_inf_constant(
         raise PreconditionError(f"sphere exits domain: {exc}") from exc
 
     strides = _strides(dom.shape)
-    offsets, weights, absorbs, lo, hi = _sphere_stencil(
+    offsets, weights, absorbs, lo, hi, corner_w, corner_off = _sphere_stencil(
         radius * directions / dom.spacing, strides
     )
     active = dom.mask.ravel()
     values = v.values.ravel()
     safe = np.where(active & np.isfinite(values), values, 0.0)
     minus_inf = values == -np.inf
-    means = np.empty(len(nodes))
     block = max(1, _MEAN_BLOCK_POINTS // samples)
-
-    # fast path: centres whose whole stencil lies in the lattice box on
-    # active nodes take the stencil sum; the others are interpolated exactly
     in_box = np.all((nodes + lo >= 0) & (nodes + hi < dom.shape), axis=1)
     inside = np.flatnonzero(in_box)
-    exact = [np.flatnonzero(~in_box)]
-    for start in range(0, len(inside), block):
-        ids = inside[start : start + block]
-        idx = (nodes[ids] @ strides)[:, None] + offsets
-        means[ids] = safe[idx] @ weights / samples
-        means[ids[minus_inf[idx[:, absorbs]].any(axis=1)]] = -np.inf
-        exact.append(ids[~active[idx].all(axis=1)])
 
-    # centres near inactive nodes: renormalized interpolation, as spherical_mean
-    exact = np.concatenate(exact)
+    # the screen; -inf sends a centre to the exact recomputation whatever
+    # its mean, and stays there for the centres outside the lattice box
+    screen = np.full(len(nodes), -np.inf)
+    near = np.zeros(len(nodes), dtype=bool)
+    slack = 0.0
+    if inside.size:
+        # valid-mode correlations over the box of the in-box centres grown
+        # by the stencil's reach; centre n is entry n - first of each
+        first = nodes[inside].min(axis=0)
+        box = tuple(
+            slice(a, b) for a, b in zip(first + lo, nodes[inside].max(axis=0) + hi + 1)
+        )
+        at = tuple((nodes[inside] - first).T)
+        # the stencil spans at most the lattice box, so the offsets unravel
+        # to per-axis offsets lo..hi
+        kernel_at = np.unravel_index(offsets - lo @ strides, dom.shape)
+        kernel = np.zeros(hi - lo + 1)
+        kernel[kernel_at] = weights
+        safe_box = safe.reshape(dom.shape)[box]
+        screen[inside] = _correlate(safe_box, kernel)[at] / samples
+        # the 0/1 correlations count nodes, exact integers to about 1e-12
+        inactive = ~dom.mask[box]
+        if inactive.any():
+            touched = _correlate(inactive.astype(float), (kernel > 0).astype(float))
+            near[inside] = touched[at] > 0.5
+        minus_inf_box = minus_inf.reshape(dom.shape)[box]
+        near_minus_inf = None
+        if minus_inf_box.any():
+            support = np.zeros(kernel.shape)
+            support[tuple(k[absorbs] for k in kernel_at)] = 1.0
+            absorbed = _correlate(minus_inf_box.astype(float), support)[at] > 0.5
+            screen[inside[absorbed]] = -np.inf
+            # interpolate's cell for a sample on a gridline may be the next
+            # one over, so every -inf within one node of a corner counts
+            near_minus_inf = (
+                NodeSet(dom, minus_inf.reshape(dom.shape)).dilate().mask.ravel()
+            )
+        ids_near = np.flatnonzero(near)
+        active_01 = active.astype(float) if ids_near.size else None
+        for start in range(0, len(ids_near), block):
+            ids = ids_near[start : start + block]
+            screen[ids] = _renormalized_means(
+                nodes[ids] @ strides, active_01, safe, near_minus_inf,
+                corner_w.T, corner_off.T,
+            )
+        # tiny keeps the slack positive where the FFT's error is absolute
+        slack = _SCREEN_SLACK * float(np.abs(safe_box).max()) + np.finfo(float).tiny
+
+    # an overflowed or NaN screen bounds nothing
+    screen[~np.isfinite(screen)] = -np.inf
+    finite = screen > -np.inf
+    least_screen = screen[finite].min() if finite.any() else np.inf
+    candidates = screen <= least_screen + 2.0 * slack
+
+    least = np.inf
+    # BLAS may sum a row differently by its place in the block, so stencil
+    # centres are recomputed in the blocks a pass over every centre takes
+    stencil = candidates & in_box & ~near
+    for b in np.unique(np.searchsorted(inside, np.flatnonzero(stencil)) // block):
+        ids = inside[b * block : (b + 1) * block]
+        idx = (nodes[ids] @ strides)[:, None] + offsets
+        means = safe[idx] @ weights / samples
+        means[minus_inf[idx[:, absorbs]].any(axis=1)] = -np.inf
+        least = min(least, means[stencil[ids]].min())
+
+    # the others: renormalized interpolation, as spherical_mean
+    exact = np.flatnonzero(candidates & ~stencil)
     for start in range(0, len(exact), block):
         ids = exact[start : start + block]
         pts = (centres[ids, None, :] + radius * directions).reshape(-1, d)
@@ -392,8 +473,52 @@ def mean_inf_constant(
             vals = interpolate(v, pts)
         except PreconditionError as exc:
             raise PreconditionError(f"sphere exits domain: {exc}") from exc
-        means[ids] = vals.reshape(len(ids), samples).mean(axis=1)
-    return float(means.min())
+        least = min(least, vals.reshape(len(ids), samples).mean(axis=1).min())
+    return float(least)
+
+
+def _renormalized_means(flat, active, safe, near_minus_inf, corner_w, corner_off):
+    """Screened means about the lattice nodes at flat indices ``flat``, with
+    each sample's corner weights renormalized over its active corners as in
+    ``interpolate``; ``active`` is the 0/1 float mask and ``corner_w``,
+    ``corner_off`` are (2**d, samples).
+
+    A mean is -inf where some sample's active corners weigh less than
+    ``_SCREEN_MIN_WEIGHT`` or where a corner is set in ``near_minus_inf``
+    (None when the field has no -inf nearby)."""
+    idx = flat[:, None, None] + corner_off
+    total = np.einsum("ks,cks->cs", corner_w, active[idx])
+    # safe values are 0 on inactive corners, so only the total needs the mask
+    part = np.einsum("ks,cks->cs", corner_w, safe[idx])
+    samples = corner_w.shape[1]
+    means = (part / np.maximum(total, _SCREEN_MIN_WEIGHT)).sum(axis=1) / samples
+    means[(total < _SCREEN_MIN_WEIGHT).any(axis=1)] = -np.inf
+    if near_minus_inf is not None:
+        means[near_minus_inf[idx].any(axis=(1, 2))] = -np.inf
+    return means
+
+
+def _correlate(data: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode correlation ``out[c] = sum_o kernel[o] * data[c + o]``, by
+    FFT (Cooley & Tukey, Math. Comp. 19, 1965).
+
+    A circular correlation at least as long as ``data`` along each axis
+    wraps only outside the valid part.  The padded box and its spectra are
+    checked against the memory budget before they are allocated.
+    """
+    # imported here: loading scipy.fft would lengthen every start-up
+    from scipy import fft
+
+    shape = tuple(fft.next_fast_len(n, real=True) for n in data.shape)
+    _require_memory(
+        _FFT_BYTES_PER_NODE * math.prod(shape),
+        f"an FFT correlation over the {'x'.join(map(str, data.shape))} box "
+        f"(padded to {'x'.join(map(str, shape))})",
+    )
+    spectrum = fft.rfftn(data, shape)
+    spectrum *= fft.rfftn(kernel, shape).conj()
+    out = fft.irfftn(spectrum, shape)
+    return out[tuple(slice(0, n - k + 1) for n, k in zip(data.shape, kernel.shape))]
 
 
 def _sphere_stencil(u: np.ndarray, strides: np.ndarray):
@@ -402,10 +527,11 @@ def _sphere_stencil(u: np.ndarray, strides: np.ndarray):
 
     Returns the flat offsets of the corners with positive weight, their
     summed weights, whether some single point gives the corner more than
-    ``_WEIGHT_EPS`` (so a -inf there absorbs the mean), and the lowest and
-    highest per-axis corner offsets.  Offsets are merged by flat index; two
-    different corners can share one only when the stencil spans more than
-    the lattice box, and then no centre takes the stencil path.
+    ``_WEIGHT_EPS`` (so a -inf there absorbs the mean), the lowest and
+    highest per-axis corner offsets, and each point's own corner weights and
+    flat offsets, both (points, 2**d).  Offsets are merged by flat index;
+    two different corners can share one only when the stencil spans more
+    than the lattice box, and then no centre takes the stencil path.
     """
     base = np.floor(u).astype(np.int64)
     corner_w, corner_off = _corners(base, u - base, strides)
@@ -416,7 +542,7 @@ def _sphere_stencil(u: np.ndarray, strides: np.ndarray):
     keep = weights > 0
     return (
         offsets[keep], weights[keep], largest[keep] > _WEIGHT_EPS,
-        base.min(axis=0), base.max(axis=0) + 1,
+        base.min(axis=0), base.max(axis=0) + 1, corner_w, corner_off,
     )
 
 

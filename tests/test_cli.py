@@ -99,6 +99,23 @@ def test_verify_concave_field_exits_certification_status(tmp_path):
     assert code == 4
 
 
+def test_failing_check_is_printed_on_stderr_even_when_quiet(tmp_path, capsys):
+    # the kernel's stencil Laplacian by the puncture is far above 0.01
+    cfg = write_cfg(tmp_path, VERIFY_KERNEL)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--tol", "0.01", "--quiet"])
+    assert code == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (failed,) = [c for c in report["checks"] if not c["pass"]]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"subglue: check failed: {failed['tag']} {failed['name']}: "
+        f"worst={failed['worst_violation']:.3e} tol=1.000e-02 "
+        f"location={failed['location']}"
+    ]
+    assert failed["location"] is not None
+
+
 def test_glue_green_pole_outside_core_exits_precondition(tmp_path):
     cfg = write_cfg(tmp_path, GLUE_GREEN_BAD_POLE)
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
