@@ -27,7 +27,7 @@ from .errors import (
     SubglueError,
     _require_memory,
 )
-from .field import ScalarField, check, is_harmonic, is_subharmonic
+from .field import ScalarField, check, is_harmonic, is_subharmonic, sphere_points
 from .fieldio import read_field, write_field, write_json, write_pgm, write_points
 from .geometry import Ball, Box, GridDomain, NodeSet, _recipe_mask
 from .gluing import GlueConstants, glue_basic, glue_full, glue_green, glue_quantitative, glue_two
@@ -286,8 +286,7 @@ def _capacity(job: _Run):
     elif value("circle"):
         cx, cy, radius, count = value("circle")
         _require_memory(16 * count, f"a {count:,}-point circle sample")
-        ang = 2.0 * np.pi * np.arange(count) / count
-        points = np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=1)
+        points = sphere_points((cx, cy), radius, count, 2)
     else:
         raise ConfigValueError("capacity needs a support set or a circle sampler")
     if mode == "fekete":
@@ -342,6 +341,10 @@ def run(
     """
     if cfg.command not in _HANDLERS:
         raise ConfigValueError(f"unknown command {cfg.command!r}")
+    # every command but capacity renders a field of the grid: fail a 3-d
+    # render before the command runs rather than after it wrote field.txt
+    if do_render and cfg.command != "capacity" and len(cfg.shape) != 2:
+        raise PreconditionError("PGM rendering is planar only")
     os.makedirs(out_dir, exist_ok=True)
     job = _Run(_Scene(cfg, base_dir), tol, out_dir)
     start = time.monotonic()

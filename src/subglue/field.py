@@ -127,17 +127,16 @@ class ScalarField:
     here.  Instances are immutable; derive new fields with ``with_values``.
     """
 
-    def __init__(self, domain: GridDomain, values: np.ndarray, _validate=True):
+    def __init__(self, domain: GridDomain, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != domain.shape:
             raise PreconditionError("value array shape does not match grid")
         vals = np.where(domain.mask, values, np.nan)
-        if _validate:
-            active_vals = values[domain.mask]
-            if np.any(np.isnan(active_vals)):
-                raise PreconditionError("NaN value on an active node")
-            if np.any(active_vals == np.inf):
-                raise PreconditionError("+inf is not an allowed field value")
+        active_vals = values[domain.mask]
+        if np.any(np.isnan(active_vals)):
+            raise PreconditionError("NaN value on an active node")
+        if np.any(active_vals == np.inf):
+            raise PreconditionError("+inf is not an allowed field value")
         self.domain = domain
         self.values = vals
         self.values.setflags(write=False)

@@ -25,6 +25,7 @@ runner's exit codes.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -162,9 +163,13 @@ class GlueResult:
 # small helpers
 # ---------------------------------------------------------------------------
 
+# tolerance of the nonnegativity conclusions on the core ("4.5+", "4.11+")
+_POSITIVITY_TOL = 1e-6
 
-def _one_sided_violation(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Violation of ``lhs <= rhs`` with -inf treated as the bottom element."""
+
+def _one_sided_violation(lhs, rhs) -> np.ndarray:
+    """Violation of ``lhs <= rhs`` with -inf treated as the bottom element;
+    either side may be a scalar."""
     with np.errstate(invalid="ignore"):
         diff = lhs - rhs
     both = (lhs == -np.inf) & (rhs == -np.inf)
@@ -177,6 +182,37 @@ def _equality_violation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.abs(a - b)
     both = (a == -np.inf) & (b == -np.inf)
     return np.where(both, 0.0, diff)
+
+
+def _bound_violation(vals: np.ndarray, lo=-math.inf, hi=math.inf) -> float:
+    """How far ``vals`` leave ``[lo, hi]``, 0 for no values.  A -inf value
+    meets ``lo = -inf`` and leaves a finite ``lo`` by inf."""
+    if not vals.size:
+        return 0.0
+    low, high = float(vals.min()), float(vals.max())
+    return max(0.0 if low == lo else max(0.0, lo - low), max(0.0, high - hi))
+
+
+def _overlap_interfaces(v: ScalarField, v0: ScalarField) -> tuple:
+    """The overlap of two fields' domains, as a node set, and the two
+    interfaces bordering it: ``iface0`` in ``v0``'s domain only, at ``v``'s
+    edge, and ``iface1`` in ``v``'s domain only, at ``v0``'s edge."""
+    v.domain.require_same_lattice(v0.domain)
+    o_mask = v.domain.mask
+    o0_mask = v0.domain.mask
+    overlap_set = NodeSet(v.domain, o_mask & o0_mask)
+    near_overlap = overlap_set.dilate().mask
+    return overlap_set, o0_mask & ~o_mask & near_overlap, o_mask & ~o0_mask & near_overlap
+
+
+@contextmanager
+def _stage(name: str):
+    """Prefix a precondition failure raised inside with ``"<name> stage: "``,
+    keeping its tag."""
+    try:
+        yield
+    except PreconditionError as exc:
+        raise PreconditionError(f"{name} stage: {exc}", tag=exc.tag) from exc
 
 
 def _interface_report(name, tag, violation, mask, tol, kind="hypothesis") -> VerificationReport:
@@ -220,9 +256,7 @@ def _pole_slope_report(name, tag, glued, green, region_mask, target, rel_tol=0.0
     return check(name, tag, worst, rel_tol, ring_nodes=n, slope=slope, target=target)
 
 
-def _core_conclusions(
-    glued, core_mask, green, scale, tag, phrase, harmonic_tol, positivity_tol
-) -> list:
+def _core_conclusions(glued, core_mask, green, scale, tag, phrase, harmonic_tol) -> list:
     """The Green-gluing conclusions on a core minus the pole node: harmonic
     (``tag + "h"``, ``harmonic_tol`` defaulting to 10 h), nonnegative
     (``tag + "+"``), and either the pole slope ``2 * scale`` against the
@@ -239,7 +273,7 @@ def _core_conclusions(
         check(
             f"glued field nonnegative on the {phrase}", tag + "+",
             max(0.0, -float(core_vals.min())) if core_vals.size else 0.0,
-            positivity_tol, core_nodes=int(core_vals.size),
+            _POSITIVITY_TOL, core_nodes=int(core_vals.size),
         ),
     ]
     if scale == 0.0:
@@ -325,15 +359,12 @@ def glue_two(
     bordering ``v``'s, and symmetrically.  The output is ``v0`` where only it
     lives, ``v`` where only it lives, and their max on the overlap.
     """
-    v.domain.require_same_lattice(v0.domain)
+    overlap_set, iface0, iface1 = _overlap_interfaces(v, v0)
+    overlap = overlap_set.mask
     o_mask = v.domain.mask
     o0_mask = v0.domain.mask
-    overlap = o_mask & o0_mask
-    overlap_set = NodeSet(v.domain, overlap)
-    near_overlap = overlap_set.dilate().mask
-
-    iface0 = o0_mask & ~o_mask & near_overlap  # inside v0's domain, at v's edge
-    iface1 = o_mask & ~o0_mask & near_overlap  # inside v's domain, at v0's edge
+    only0 = o0_mask & ~o_mask
+    only1 = o_mask & ~o0_mask
 
     limsup_v = neighbour_max(v, overlap_set)
     limsup_v0 = neighbour_max(v0, overlap_set)
@@ -360,8 +391,8 @@ def glue_two(
     # sets would be separated there); report the contact as a failed
     # hypothesis rather than let an uncontrolled stencil surprise the
     # certification
-    far0 = o0_mask & ~o_mask & ~near_overlap
-    far1 = o_mask & ~o0_mask & ~near_overlap
+    far0 = only0 & ~iface0
+    far1 = only1 & ~iface1
     contact = far0 & NodeSet(v.domain, far1).adjacent().mask
     touching = int(contact.sum())
     reports.append(
@@ -375,8 +406,6 @@ def glue_two(
 
     union = o_mask | o0_mask
     vals = np.zeros(v.domain.shape)
-    only0 = o0_mask & ~o_mask
-    only1 = o_mask & ~o0_mask
     vals[only0] = v0.values[only0]
     vals[only1] = v.values[only1]
     with np.errstate(invalid="ignore"):
@@ -442,18 +471,11 @@ def glue_quantitative(
     certification replays the two inequality chains of the construction at
     grid nodes.
     """
-    v.domain.require_same_lattice(g.domain)
-    o_mask = v.domain.mask
-    o0_mask = g.domain.mask
-    overlap_set = NodeSet(v.domain, o_mask & o0_mask)
-    near_overlap = overlap_set.adjacent().mask
-    iface0 = o0_mask & ~o_mask & near_overlap
-    iface1 = o_mask & ~o0_mask & near_overlap
-
+    overlap_set, iface0, iface1 = _overlap_interfaces(v, g)
     reports = []
 
     # lower bound on v at the outer side of the inner edge
-    viol_m = _one_sided_violation(np.full(v.domain.shape, c.m_v), v.values)
+    viol_m = _one_sided_violation(c.m_v, v.values)
     reports.append(
         _interface_report(
             "lower constant below the outer field at the inner edge",
@@ -463,7 +485,7 @@ def glue_quantitative(
 
     # upper bound on the limsup of v at the inner side of the outer edge
     limsup_v = neighbour_max(v, overlap_set)
-    viol_M = _one_sided_violation(limsup_v, np.full(v.domain.shape, c.M_v))
+    viol_M = _one_sided_violation(limsup_v, c.M_v)
     reports.append(
         _interface_report(
             "outer-field limsup below the upper constant at the outer edge",
@@ -473,12 +495,10 @@ def glue_quantitative(
 
     # reference chain: limsup g <= m_g on one side, M_g <= g on the other
     limsup_g = neighbour_max(g, overlap_set)
-    viol_g_low = _one_sided_violation(limsup_g, np.full(v.domain.shape, c.m_g))
-    if iface1.any():
-        sup_limsup = float(limsup_g[iface1].max())
-        if sup_limsup == -np.inf:
-            viol_g_low = np.where(iface1, np.inf, viol_g_low)
-    viol_g_high = _one_sided_violation(np.full(v.domain.shape, c.M_g), g.values)
+    viol_g_low = _one_sided_violation(limsup_g, c.m_g)
+    if iface1.any() and limsup_g[iface1].max() == -np.inf:
+        viol_g_low = np.where(iface1, np.inf, viol_g_low)
+    viol_g_high = _one_sided_violation(c.M_g, g.values)
     chain_viol = np.maximum(
         np.where(iface1, viol_g_low, 0.0), np.where(iface0, viol_g_high, 0.0)
     )
@@ -495,14 +515,7 @@ def glue_quantitative(
 
     # replay the two displayed inequality chains at grid nodes
     plus = c.plus_part
-    if iface0.any():
-        worst_outer = float(
-            _one_sided_violation(
-                np.full(v.domain.shape, plus), v0.values
-            )[iface0].max()
-        )
-    else:
-        worst_outer = 0.0
+    worst_outer = _one_sided_violation(plus, v0.values)[iface0].max(initial=0.0)
     reports.append(
         check(
             "chain replay: inner field dominates the combined constant at the outer edge",
@@ -510,14 +523,7 @@ def glue_quantitative(
         )
     )
     limsup_v0 = neighbour_max(v0, overlap_set)
-    if iface1.any():
-        worst_inner = float(
-            _one_sided_violation(
-                limsup_v0, np.full(v.domain.shape, -plus)
-            )[iface1].max()
-        )
-    else:
-        worst_inner = 0.0
+    worst_inner = _one_sided_violation(limsup_v0, -plus)[iface1].max(initial=0.0)
     reports.append(
         check(
             "chain replay: inner-field limsup below the negated constant at the inner edge",
@@ -533,9 +539,20 @@ def glue_quantitative(
 # ---------------------------------------------------------------------------
 
 
-def _require_pole_dimension(domain: GridDomain, o):
-    if as_point(o).dim != domain.dim:
+def _green_preamble(v: ScalarField, s0: NodeSet, o, params, *domains) -> tuple:
+    """The checks shared by the Green gluings: the pole's dimension, one
+    lattice for ``v``, the core and ``domains``, and ``v`` defined off the
+    core.  Returns the solver parameters (defaulted), the ambient mask
+    (``v``'s domain plus the core) and the ambient domain."""
+    lattice = v.domain
+    if as_point(o).dim != lattice.dim:
         raise PreconditionError("pole dimension does not match the grid")
+    for other in (s0.domain, *domains):
+        lattice.require_same_lattice(other)
+    if np.any(lattice.mask & s0.mask):
+        raise PreconditionError("field must be defined off the core set")
+    o_mask = lattice.mask | s0.mask
+    return params or SolverParams(), o_mask, lattice.with_mask(o_mask)
 
 
 def glue_green(
@@ -550,7 +567,6 @@ def glue_green(
     tol: float = 1e-9,
     cert_tol: float | None = None,
     harmonic_tol: float | None = None,
-    positivity_tol: float = 1e-6,
 ) -> GlueResult:
     """Glue a field against a scaled Green's function of an intermediate
     domain, producing a field harmonic and nonnegative on the core.
@@ -569,16 +585,8 @@ def glue_green(
     harmonic (``"4.5h"``) and nonnegative (``"4.5+"``) on the core, and has
     pole slope ``2 * scale`` against the kernel profile (``"4.5o"``).
     """
-    params = params or SolverParams()
+    params, o_mask, ambient = _green_preamble(v, s0, o, params, s.domain, d_domain)
     lattice = v.domain
-    _require_pole_dimension(lattice, o)
-    lattice.require_same_lattice(s0.domain)
-    lattice.require_same_lattice(s.domain)
-    lattice.require_same_lattice(d_domain)
-    if np.any(v.domain.mask & s0.mask):
-        raise PreconditionError("field must be defined off the core set")
-    o_mask = v.domain.mask | s0.mask
-    ambient = lattice.with_mask(o_mask)
 
     # inclusion chain: o in Int s0, s0 compactly inside s, s inside ambient
     try:
@@ -609,36 +617,20 @@ def glue_green(
             "Green domain is not compactly inside the intermediate set", tag="4.3'"
         )
 
-    reports = []
     shell = s.mask & ~s0.mask
-    if shell.any():
-        shell_vals = v.values[shell]
-        lo = float(shell_vals.min())
-        hi = float(shell_vals.max())
-        worst = max(
-            0.0 if lo == -np.inf and m_v == -np.inf else max(0.0, m_v - lo),
-            max(0.0, hi - M_v),
-        )
-        if lo == -np.inf and math.isfinite(m_v):
-            worst = math.inf
-    else:
-        worst = 0.0
-    reports.append(
+    reports = [
         check(
-            "field bounds on the intermediate shell", "4.2'", worst, tol,
+            "field bounds on the intermediate shell", "4.2'",
+            _bound_violation(v.values[shell], m_v, M_v), tol,
             kind="hypothesis", shell_nodes=int(shell.sum()),
         )
-    )
+    ]
 
     green = green_function(d_domain, o, params)
     big_m = green_min_constant(green, s0)
     constants = GlueConstants(M_v=M_v, m_v=m_v, M_g=big_m, m_g=0.0)
     scale = constants.scale
-
-    if scale == 0.0:
-        v0_vals = np.zeros(lattice.shape)
-    else:
-        v0_vals = scale * (2.0 * green.values - big_m)
+    v0_vals = quantitative_v0(green.field, constants).values
 
     vals = np.zeros(lattice.shape)
     outer = o_mask & ~s.mask
@@ -662,9 +654,7 @@ def glue_green(
         )
     )
     reports.extend(
-        _core_conclusions(
-            glued, s0.mask, green, scale, "4.5", "core", harmonic_tol, positivity_tol
-        )
+        _core_conclusions(glued, s0.mask, green, scale, "4.5", "core", harmonic_tol)
     )
 
     return GlueResult(
@@ -691,7 +681,6 @@ def glue_full(
     tol: float = 1e-9,
     cert_tol: float | None = None,
     harmonic_tol: float | None = None,
-    positivity_tol: float = 1e-6,
     mean_samples: int = 256,
 ) -> GlueResult:
     """The full pipeline: from a field defined off a connected core and an
@@ -715,18 +704,12 @@ def glue_full(
     equality with ``v`` outside the r-parallel set (``"4.11="``), and the
     pole slope (``"4.11o"``).
     """
-    params = params or SolverParams()
-    lattice = v.domain
-    _require_pole_dimension(lattice, o)
-    lattice.require_same_lattice(s0.domain)
-    if np.any(v.domain.mask & s0.mask):
-        raise PreconditionError("field must be defined off the core set")
+    params, o_mask, ambient = _green_preamble(v, s0, o, params)
     if s0.is_empty():
         raise PreconditionError("core set is empty")
     if not s0.is_connected():
         raise PreconditionError("core set must be connected")
-    o_mask = v.domain.mask | s0.mask
-    ambient = lattice.with_mask(o_mask)
+    lattice = v.domain
     h = lattice.spacing
 
     if r / 3.0 < 2.0 * h:
@@ -746,28 +729,20 @@ def glue_full(
     p_two_thirds = parallel_set(core, 2.0 * r / 3.0)
     p_full = parallel_set(core, r)
 
-    reports = []
-
     collar = p_full.mask & ~s0.mask
-    if collar.any():
-        hi = float(v.values[collar].max())
-        worst = max(0.0, hi - M_v)
-    else:
-        worst = 0.0
-    reports.append(
+    reports = [
         check(
-            "field bounded above on the r-parallel collar", "4.9M", worst, tol,
+            "field bounded above on the r-parallel collar", "4.9M",
+            _bound_violation(v.values[collar], hi=M_v), tol,
             kind="hypothesis", collar_nodes=int(collar.sum()),
         )
-    )
+    ]
 
     shell = NodeSet(lattice, p_two_thirds.mask & ~p_third.mask)
     if shell.is_empty():
         raise PreconditionError("resolution too coarse: empty middle shell")
-    try:
+    with _stage("mean"):
         m_v = mean_inf_constant(v, shell, r, samples=mean_samples)
-    except PreconditionError as exc:
-        raise PreconditionError(f"mean stage: {exc}", tag=getattr(exc, "tag", None)) from exc
     if m_v == -math.inf:
         raise PreconditionError(
             "lower mean constant is -inf: the field is degenerate near the core",
@@ -783,28 +758,24 @@ def glue_full(
     layer = NodeSet(
         lattice, (p_full.mask & ~s0.mask) & v.domain.active_set().interior().mask
     )
-    if layer.is_empty():
-        raise PreconditionError("continuation stage: empty open layer")
-    try:
+    with _stage("continuation"):
+        if layer.is_empty():
+            raise PreconditionError("empty open layer")
         continuation = harmonic_layer_continuation(v, layer, params)
-    except PreconditionError as exc:
-        raise PreconditionError(f"continuation stage: {exc}") from exc
     tilde = continuation.field
 
-    shell_tilde = tilde.values[shell.mask]
-    lower_worst = max(0.0, m_v - float(shell_tilde.min()))
     reports.append(
         check(
             "continued field dominated from below by the mean constant on the middle shell",
-            "cont.lower", lower_worst, tol, shell_nodes=shell.count,
+            "cont.lower", _bound_violation(tilde.values[shell.mask], lo=m_v), tol,
+            shell_nodes=shell.count,
         )
     )
-    collar_tilde = tilde.values[collar]
-    upper_worst = max(0.0, float(collar_tilde.max()) - M_v) if collar_tilde.size else 0.0
     reports.append(
         check(
             "continued field bounded above on the collar", "cont.upper",
-            upper_worst, tol, collar_nodes=int(collar_tilde.size),
+            _bound_violation(tilde.values[collar], hi=M_v), tol,
+            collar_nodes=int(collar.sum()),
         )
     )
     dom_worst = float(
@@ -817,35 +788,21 @@ def glue_full(
         )
     )
 
-    try:
+    with _stage("regularization"):
         d_domain = regularized_domain(core, r, ambient)
-    except PreconditionError as exc:
-        raise PreconditionError(f"regularization stage: {exc}", tag=exc.tag) from exc
 
     v_outer = tilde.restricted(o_mask & ~p_third.mask)
-    try:
+    with _stage("green"):
         inner = glue_green(
-            v_outer,
-            s0=p_third,
-            s=p_two_thirds,
-            d_domain=d_domain,
-            o=o,
-            m_v=m_v,
-            M_v=M_v,
-            params=params,
-            tol=tol,
-            cert_tol=cert_tol,
-            harmonic_tol=harmonic_tol,
-            positivity_tol=positivity_tol,
+            v_outer, p_third, p_two_thirds, d_domain, o, m_v, M_v,
+            params=params, tol=tol, cert_tol=cert_tol, harmonic_tol=harmonic_tol,
         )
-    except PreconditionError as exc:
-        raise PreconditionError(f"green stage: {exc}", tag=exc.tag) from exc
     reports.extend(inner.reports)
     glued = inner.field
 
     harmonic, positive, slope = _core_conclusions(
         glued, s0.mask, inner.green, inner.constants.scale, "4.11", "original core",
-        harmonic_tol, positivity_tol,
+        harmonic_tol,
     )
     identity = _region_identity_report(
         "glued field equals the original outside the r-parallel set",

@@ -78,11 +78,7 @@ def kernel_field(domain: GridDomain, d: int, o) -> ScalarField:
     dist = np.sqrt(domain.distance2_to(o))
     vals = np.zeros(domain.shape)
     pos = dist > 0
-    q = d - 2
-    if q == 0:
-        vals[pos] = np.log(dist[pos])
-    else:
-        vals[pos] = -float(np.sign(q)) * dist[pos] ** (-float(q))
+    vals[pos] = kernel_k(d - 2, dist[pos])
     vals[~pos] = -np.inf if d >= 2 else 0.0
     return ScalarField(domain, vals)
 

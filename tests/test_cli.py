@@ -618,3 +618,41 @@ def test_far_pole_exits_precondition(tmp_path, text, old):
     assert report["error"]["message"].endswith(
         "pole does not lie in the grid interior of the core set"
     )
+
+
+VERIFY_BALL3D = """
+grid {
+  origin -1 -1 -1
+  spacing 0.25
+  shape 9 9 9
+}
+set B { add ball 0 0 0 1 }
+field c { constant 1 }
+command verify {
+  field c
+  on B
+  tol 1e-9
+}
+"""
+
+
+def test_render_of_a_3d_field_fails_before_the_command_runs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, VERIFY_BALL3D)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "--render"]) == 3
+    assert "PGM rendering is planar only" in capsys.readouterr().err
+    assert not (out / "field.txt").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["message"] == "PGM rendering is planar only"
+
+
+def test_render_leaves_capacity_on_a_3d_grid_alone(tmp_path):
+    # capacity writes no field, so there is nothing to render
+    cfg = write_cfg(
+        tmp_path,
+        VERIFY_BALL3D[: VERIFY_BALL3D.index("set B")]
+        + "command capacity {\n  mode fekete\n  circle 0 0 1 64\n  n 8\n}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "--render"]) == 0
+    assert sorted(os.listdir(out)) == ["points.txt", "report.json"]

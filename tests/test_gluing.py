@@ -379,3 +379,63 @@ def test_glue_full_computes_two_distance_fields(monkeypatch):
                     tol=1e-6 + 100 * h * h, cert_tol=0.05)
     assert res.verified
     assert len(calls) == 1
+
+
+def test_glue_green_minus_inf_on_shell_fails_bounds_by_inf():
+    # a -inf on the shell leaves the finite lower constant by inf
+    outer, s0, s, v_dom = _green_scene(1 / 64)
+    shell_node = tuple(np.argwhere(s.mask & ~s0.mask)[0])
+    vals = np.zeros(outer.shape)
+    vals[shell_node] = -np.inf
+    v = ScalarField(v_dom, np.where(v_dom.mask, vals, 0.0))
+    d_dom = regularized_domain(s0, 0.3, outer)
+    res = glue_green(v, s0, s, d_dom, (0, 0), m_v=-1.0, M_v=0.0, tol=1e-9)
+    bounds = res.report_by_tag("4.2'")
+    assert bounds.worst == np.inf and not bounds.passed
+    assert not res.verified
+
+
+def test_bound_violation_minus_inf_convention():
+    from subglue.gluing import _bound_violation
+
+    vals = np.array([-np.inf, 0.5])
+    assert _bound_violation(vals, -np.inf, 1.0) == 0.0
+    assert _bound_violation(vals, -1.0, 1.0) == np.inf
+    assert _bound_violation(vals, hi=0.25) == 0.25
+    assert _bound_violation(np.array([]), 1.0, 0.0) == 0.0
+
+
+def _full_scene_h64(vals=None):
+    h = 1 / 64
+    outer = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=h, shape=(129, 129))
+    rr2 = outer.distance2_to((0, 0))
+    s0 = NodeSet(outer, outer.mask & (rr2 < 0.15**2))
+    v_dom = outer.with_mask(outer.mask & ~s0.mask)
+    vals = np.zeros(outer.shape) if vals is None else vals
+    return outer, s0, ScalarField(v_dom, np.where(v_dom.mask, vals, 0.0))
+
+
+def test_glue_full_green_stage_error_is_prefixed_and_tagged():
+    # the pole lies in the original core's domain but outside the r/3 core
+    _, s0, v = _full_scene_h64()
+    with pytest.raises(PreconditionError) as err:
+        glue_full(v, s0, (0.9, 0), r=0.3, M_v=0.0, tol=1e-9)
+    assert str(err.value) == "green stage: pole does not lie in the grid interior of the core set"
+    assert err.value.tag == "4.3"
+
+
+def test_glue_full_continuation_stage_error_is_prefixed():
+    from subglue import parallel_set
+
+    outer, s0, v = _full_scene_h64()
+    # a -inf on the far side of the layer's ring, out of reach of the means
+    p_full = parallel_set(s0, 0.3).mask
+    layer = NodeSet(outer, p_full & ~s0.mask & v.domain.active_set().interior().mask)
+    ring = layer.adjacent("axis").mask & ~p_full
+    vals = np.zeros(outer.shape)
+    vals[tuple(np.argwhere(ring)[0])] = -np.inf
+    _, _, v = _full_scene_h64(vals)
+    with pytest.raises(PreconditionError) as err:
+        glue_full(v, s0, (0, 0), r=0.3, M_v=0.0, tol=1e-9)
+    assert str(err.value) == "continuation stage: -inf value on the layer's boundary ring"
+    assert err.value.tag is None
