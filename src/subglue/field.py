@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import PreconditionError, _require_memory
 from .extreal import ExtReal, MINUS_INF, PLUS_INF
@@ -28,8 +29,8 @@ from .geometry import (
     NodeSet,
     _bounding_box,
     _interior_mask,
+    _moore_structure,
     _shift_slices,
-    _shifted,
     as_point,
 )
 
@@ -345,9 +346,9 @@ def mean_inf_constant(
     ``spherical_mean`` at its node.  The sample points' corner weights
     relative to a lattice node are the same for every node, so they are
     summed once into a stencil: a centre whose stencil lies in the lattice
-    box on active nodes takes the stencil sum, gathered in blocks of a fixed
-    number of sample points; every other centre is interpolated point by
-    point.
+    box on active nodes takes the stencil sum, each row summed on its own so
+    that the bits depend neither on the other centres nor on the BLAS thread
+    count; every other centre is interpolated point by point.
 
     Only the centres that could hold the infimum are computed exactly.  A
     screen first estimates every mean: one FFT correlation of the field with
@@ -453,15 +454,15 @@ def mean_inf_constant(
     candidates = screen <= least_screen + 2.0 * slack
 
     least = np.inf
-    # BLAS may sum a row differently by its place in the block, so stencil
-    # centres are recomputed in the blocks a pass over every centre takes
+    # einsum sums each row alone, in one order whatever the block or threads
     stencil = candidates & in_box & ~near
-    for b in np.unique(np.searchsorted(inside, np.flatnonzero(stencil)) // block):
-        ids = inside[b * block : (b + 1) * block]
+    ids_stencil = np.flatnonzero(stencil)
+    for start in range(0, len(ids_stencil), block):
+        ids = ids_stencil[start : start + block]
         idx = (nodes[ids] @ strides)[:, None] + offsets
-        means = safe[idx] @ weights / samples
+        means = np.einsum("ij,j->i", safe[idx], weights) / samples
         means[minus_inf[idx[:, absorbs]].any(axis=1)] = -np.inf
-        least = min(least, means[stencil[ids]].min())
+        least = min(least, means.min())
 
     # the others: renormalized interpolation, as spherical_mean
     exact = np.flatnonzero(candidates & ~stencil)
@@ -724,16 +725,10 @@ def neighbour_max(v: ScalarField, from_set: NodeSet) -> np.ndarray:
     box = _bounding_box(from_set.mask, grow=1)
     if box is None:
         return out
-    near = out[box]
     src = np.where(from_set.mask[box], v.values[box], -np.inf)
-    for offset in np.ndindex(*(3,) * v.domain.dim):
-        if all(o == 1 for o in offset):
-            continue
-        shifted = src
-        for k, o in enumerate(offset):
-            if o != 1:
-                shifted = _shifted(shifted, k, o - 1, -np.inf)
-        np.maximum(near, shifted, out=near)
+    ring = _moore_structure(v.domain.dim)
+    ring[(1,) * v.domain.dim] = False
+    out[box] = ndimage.maximum_filter(src, footprint=ring, mode="constant", cval=-np.inf)
     return out
 
 

@@ -23,12 +23,13 @@ bytes are those of one ``repr`` per node.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _require_memory
 from .field import ScalarField
 from .geometry import GridDomain
 
@@ -72,19 +73,12 @@ def _rle_encode(flat: np.ndarray) -> list:
 
 
 def _rle_decode(runs, total: int) -> np.ndarray:
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    current = False
-    for run in runs:
-        if run < 0:
-            raise PreconditionError("negative run length in mask rle")
-        if current:
-            flat[pos : pos + run] = True
-        pos += run
-        current = not current
-    if pos != total:
+    if min(runs, default=0) < 0:
+        raise PreconditionError("negative run length in mask rle")
+    if sum(runs) != total:
         raise PreconditionError("mask rle does not cover the lattice")
-    return flat
+    # runs alternate inactive, active, ...
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
 
 
 def field_to_text(v: ScalarField) -> str:
@@ -110,23 +104,36 @@ def field_from_text(text: str) -> ScalarField:
     if len(lines) < 5:
         raise PreconditionError("field file too short")
 
-    def expect(i, key):
-        parts = lines[i].split()
-        if not parts or parts[0] != key:
-            raise PreconditionError(f"field file: expected '{key}' on line {i + 1}")
-        return parts[1:]
+    def parse(kind, i, words):
+        """``words`` of the ``i``-th line, converted by ``kind``."""
+        try:
+            return [kind(w) for w in words]
+        except ValueError as exc:
+            raise PreconditionError(f"field file: line {i + 1}: {exc}") from None
 
-    d = int(expect(0, "dim")[0])
-    shape = tuple(int(x) for x in expect(1, "shape"))
-    origin = tuple(float(x) for x in expect(2, "origin"))
-    spacing = float(expect(3, "spacing")[0])
-    mask_parts = expect(4, "mask")
-    if not mask_parts or mask_parts[0] != "rle":
+    def expect(i, key, kind, count=None):
+        parts = lines[i].split()
+        if len(parts) < 2 or parts[0] != key:
+            raise PreconditionError(f"field file: expected '{key}' on line {i + 1}")
+        if count not in (None, len(parts) - 1):
+            raise PreconditionError(f"field file: line {i + 1} needs {count} value after '{key}'")
+        return parse(kind, i, parts[1:])
+
+    (d,) = expect(0, "dim", int, 1)
+    shape = tuple(expect(1, "shape", int))
+    origin = tuple(expect(2, "origin", float))
+    (spacing,) = expect(3, "spacing", float, 1)
+    mask_parts = expect(4, "mask", str)
+    if mask_parts[0] != "rle":
         raise PreconditionError("field file: mask line must start with 'rle'")
     if len(shape) != d or len(origin) != d:
         raise PreconditionError("field file: dimension mismatch in header")
-    total = int(np.prod(shape))
-    flat = _rle_decode([int(x) for x in mask_parts[1:]], total)
+    if min(shape) < 2:
+        raise PreconditionError("field file: each axis on line 2 needs at least 2 nodes")
+    # the values become one float64 array of the whole lattice
+    total = math.prod(shape)
+    _require_memory(8 * total, f"a float64 array of the {total:,}-node lattice")
+    flat = _rle_decode(parse(int, 4, mask_parts[1:]), total)
     mask = flat.reshape(shape)
     domain = GridDomain(origin, spacing, shape, mask)
     active = int(mask.sum())
@@ -136,7 +143,12 @@ def field_from_text(text: str) -> ScalarField:
             f"field file: {len(value_lines)} values for {active} active nodes"
         )
     vals = np.zeros(shape)
-    vals[mask] = np.array([float(s) for s in value_lines])
+    try:
+        vals[mask] = [float(s) for s in value_lines]
+    except ValueError:  # find the line to name
+        for i, line in enumerate(value_lines, start=5):
+            parse(float, i, [line])
+        raise
     return ScalarField(domain, vals)
 
 

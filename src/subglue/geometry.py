@@ -154,25 +154,15 @@ def _shift_slices(ndim: int, axis: int, step: int):
     return tuple(dst), tuple(src), tuple(edge)
 
 
-def _shifted(arr: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
-    """``out[i] = arr[i + step]`` along ``axis``, ``fill`` beyond the lattice.
-
-    Unlike ``np.roll`` nothing wraps around, so a node on the lattice edge
-    never sees the opposite edge as its neighbour.
-    """
-    out = np.full_like(arr, fill)
-    dst, src, _ = _shift_slices(arr.ndim, axis, step)
-    out[dst] = arr[src]
-    return out
-
-
 def _interior_mask(mask: np.ndarray) -> np.ndarray:
     """Members whose 2d axis neighbours are all members (lattice edges count
     as outside)."""
     interior = mask.copy()
     for k in range(mask.ndim):
         for step in (1, -1):
-            interior &= _shifted(mask, k, step, False)
+            dst, src, edge = _shift_slices(mask.ndim, k, step)
+            interior[dst] &= mask[src]
+            interior[edge] = False
     return interior
 
 

@@ -186,21 +186,22 @@ def _cg_solve(
     x_red, r, residual = back_substitute(x)
     iterations = 0
     p = r.copy()
-    rr = float(r @ r)
+    # einsum's dot products do not thread: no BLAS thread count moves a bit
+    rr = float(np.einsum("i,i->", r, r))
     # rr == 0 leaves nothing to iterate on: the black values are exact
     while residual > target and rr > 0.0 and iterations < params.max_iter:
         iterations += 1
         q = adj_t @ (adj @ p)
         q *= -1.0 / diag
         q += diag * p
-        alpha = rr / float(p @ q)
+        alpha = rr / float(np.einsum("i,i->", p, q))
         x += alpha * p
         r -= alpha * q
         residual = max(float(r.max()), -float(r.min()))
         if residual <= target:  # confirm; if the true residual fails, restart
             x_red, r, residual = back_substitute(x)
             p[:] = 0.0
-        rr, rr_prev = float(r @ r), rr
+        rr, rr_prev = float(np.einsum("i,i->", r, r)), rr
         p *= rr / rr_prev
         p += r
     converged = residual <= target

@@ -656,3 +656,56 @@ def test_render_leaves_capacity_on_a_3d_grid_alone(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet", "--render"]) == 0
     assert sorted(os.listdir(out)) == ["points.txt", "report.json"]
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("shape 33 33", "shape -5 5", "each axis on line 2 needs at least 2 nodes"),
+        ("shape 33 33", "shape a 5", "line 2: invalid literal for int() with base 10: 'a'"),
+        ("\n-2.0\n", "\nabc\n", "line 6: could not convert string to float: 'abc'"),
+        ("shape 33 33", "shape 100000 100000", "80,000,000,000 bytes"),  # the values
+        ("spacing 0.0625", "spacing 0.0625 abc", "line 4 needs 1 value after 'spacing'"),
+    ],
+    ids=["negative-axis", "bad-int", "bad-value", "huge-lattice", "extra-word"],
+)
+def test_malformed_field_file_exits_precondition_status(tmp_path, old, new, message):
+    # under the 1 GiB cap, an allocation that skipped its guard would fail
+    # with a MemoryError traceback
+    cfg = write_cfg(tmp_path, VERIFY_CONCAVE)
+    _write_concave_file(tmp_path)
+    text = (tmp_path / "neg.txt").read_text()
+    assert old in text
+    (tmp_path / "neg.txt").write_text(text.replace(old, new, 1))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert message in report["error"]["message"]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS picks the summation order of a dot product or a gemv by its
+    # thread count; the 3-d demo scene differed in its last bits when one did
+    import pathlib
+
+    root = pathlib.Path(__file__).parent.parent
+    cfg = root / "demos" / "scene_configs" / "glue_full_ball3d.cfg"
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "subglue", "--config", str(cfg),
+             "--out", str(tmp_path / threads), "--quiet"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("report.json", "field.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

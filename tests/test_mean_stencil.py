@@ -6,9 +6,9 @@ The stencil sums in another order, so values agree to 1e-12 relative, -inf
 results agree exactly, and the errors agree by message.
 
 ``mean_inf_constant`` computes only the centres its screen cannot rule out;
-``full_pass`` keeps the formula that computes every centre (the stencil sum
-in blocks of ``_MEAN_BLOCK_POINTS`` sample points where the stencil lies in
-the lattice box on active nodes, ``interpolate`` elsewhere), and the two are
+``full_pass`` keeps the formula that computes every centre (the stencil sum,
+each row summed on its own by ``einsum``, where the stencil lies in the
+lattice box on active nodes, ``interpolate`` elsewhere), and the two are
 compared bit for bit.
 """
 
@@ -231,7 +231,7 @@ def test_mean_stage_memory_is_bounded_by_the_block():
 
 def full_pass(v, shell, r, samples=256):
     """The least mean over every shell centre, each by the formula its kind
-    takes: the blocked stencil gather, or interpolate."""
+    takes: the stencil sum, or interpolate."""
     dom = v.domain
     d = dom.dim
     radius = r / 3.0
@@ -254,7 +254,7 @@ def full_pass(v, shell, r, samples=256):
     for start in range(0, len(inside), block):
         ids = inside[start : start + block]
         idx = (nodes[ids] @ strides)[:, None] + offsets
-        means[ids] = safe[idx] @ weights / samples
+        means[ids] = np.einsum("ij,j->i", safe[idx], weights) / samples
         means[ids[minus_inf[idx[:, absorbs]].any(axis=1)]] = -np.inf
         exact.append(ids[~active[idx].all(axis=1)])
     exact = np.concatenate(exact)
