@@ -42,7 +42,6 @@ __all__ = [
     "mutual_energy",
     "equilibrium_weights",
     "fekete_capacity",
-    "project_simplex",
 ]
 
 
@@ -100,11 +99,6 @@ class EnergyBreakdown:
     regularization_share: float
     degenerate: bool = False
 
-    @property
-    def regularization_dominant(self) -> bool:
-        """Whether the diagonal regularization contributed more than 1%."""
-        return self.regularization_share > 0.01
-
 
 @dataclass
 class EnergyReport:
@@ -131,6 +125,8 @@ class EquilibriumResult:
 
 # entries per row block of the farthest-pair scan
 _PAIR_BLOCK = 1 << 20
+# passes of point exchanges before fekete_capacity stops unconverged
+_FEKETE_MAX_PASSES = 200
 
 
 def _require_finite(pts: np.ndarray, what: str) -> None:
@@ -194,18 +190,6 @@ def mutual_energy(mu: DiscreteMeasure, d: int) -> EnergyBreakdown:
         diagonal=diag,
         regularization_share=share,
     )
-
-
-def project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    w = np.asarray(w, dtype=float)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, len(w) + 1)
-    cond = u - css / ind > 0
-    rho = int(np.count_nonzero(cond))
-    theta = css[rho - 1] / rho
-    return np.maximum(w - theta, 0.0)
 
 
 def _solve_bordered(a: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, float]:
@@ -344,12 +328,7 @@ def _log_column(x: np.ndarray, y: np.ndarray, c: int) -> np.ndarray:
         return 0.5 * np.log(dx * dx + dy * dy)
 
 
-def fekete_capacity(
-    s,
-    n: int,
-    d: int = 2,
-    max_passes: int = 200,
-) -> EnergyReport:
+def fekete_capacity(s, n: int) -> EnergyReport:
     """Estimate the logarithmic capacity of a planar candidate set.
 
     Greedily selects ``n`` points of ``s`` (a NodeSet or an (m, 2) point
@@ -360,10 +339,9 @@ def fekete_capacity(
 
     Memory is O(m n): only the log-distance columns of the ``n`` selected
     points are held, and the starting farthest pair is found by a blocked
-    scan of the candidates that can belong to it.
+    scan of the candidates that can belong to it.  A configuration that
+    must repeat a point, from fewer than ``n`` distinct candidates, raises.
     """
-    if d != 2:
-        raise PreconditionError("Fekete capacity estimation is planar only (d = 2)")
     if n < 3:
         raise PreconditionError("need at least n = 3 configuration points")
     cand = _candidate_points(s)
@@ -401,7 +379,7 @@ def fekete_capacity(
 
     swaps = 0
     converged = False
-    for _ in range(max_passes):
+    for _ in range(_FEKETE_MAX_PASSES):
         # delta[j, c]: gain from replacing selected j by candidate c; -inf
         # log distances (duplicate positions) can only lose, so any NaN from
         # inf arithmetic means "never pick this swap"
@@ -421,6 +399,14 @@ def fekete_capacity(
         pair = cols[sel]
         rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
 
+    # a -inf off the diagonal is a coincident pair: greedy and exchanges
+    # repeat a point only when no distinct candidate is left, or when two
+    # distinct ones are too close for their squared distance
+    if np.count_nonzero(pair == -np.inf) > n:
+        distinct = len(np.unique(cand, axis=0))
+        if distinct < n:
+            raise PreconditionError(f"only {distinct} distinct candidate points for n = {n}")
+        raise PreconditionError("two selected candidate points have a zero squared distance")
     total = 0.5 * float(np.where(np.isfinite(pair), pair, 0.0).sum())
     energy = 2.0 * total / (n * (n - 1))
     capacity = kernel_k_inverse(0, energy)

@@ -54,10 +54,6 @@ class ExtReal:
     def value(self) -> float:
         return self._v
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self._v)
-
     def __float__(self) -> float:
         return self._v
 

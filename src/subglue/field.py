@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import PreconditionError, _require_memory
-from .extreal import ExtReal, MINUS_INF, PLUS_INF
+from .extreal import ExtReal
 from .geometry import (
     GridDomain,
     NodeSet,
@@ -121,6 +121,22 @@ def check(name, tag, worst, tol, where=None, kind="conclusion", **details) -> Ve
     )
 
 
+def check_on(
+    name, tag, violation, mask, tol, kind="conclusion", box=None, **details
+) -> VerificationReport:
+    """Build a report from pointwise violations: ``violation`` holds one
+    entry per member of ``mask``, in row-major order.  The worst is their
+    maximum (0 for an empty mask) and the location the first member that
+    attains it, None unless the worst is positive.  ``box`` places a mask
+    given on a bounding box in the lattice."""
+    worst = (float(np.max(violation)) if np.size(violation) else 0.0) + 0.0  # no -0.0
+    where = None
+    if worst > 0:
+        at = np.unravel_index(np.flatnonzero(mask)[np.argmax(violation)], mask.shape)
+        where = tuple(int(i) + (box[k].start if box else 0) for k, i in enumerate(at))
+    return check(name, tag, worst, tol, where, kind, **details)
+
+
 class ScalarField:
     """Values (finite or -inf) on the active nodes of a grid domain.
 
@@ -163,9 +179,6 @@ class ScalarField:
     def spacing(self) -> float:
         return self.domain.spacing
 
-    def minus_inf_set(self) -> NodeSet:
-        return NodeSet(self.domain, self.values == -np.inf)
-
     def active_values(self) -> np.ndarray:
         return self.values[self.domain.mask]
 
@@ -204,12 +217,6 @@ class ScalarField:
         else:
             vals = scale * self.values + offset
         return ScalarField(self.domain, vals)
-
-    def equal_on(self, other: "ScalarField", mask: np.ndarray) -> bool:
-        """Bit-exact equality of values on the given nodes."""
-        a = self.values[mask]
-        b = other.values[mask]
-        return bool(np.array_equal(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -601,24 +608,18 @@ def discrete_laplacian(v: ScalarField, node) -> ExtReal:
 
     Requires the node and its 2d axis neighbours to be active.  A -inf
     neighbour gives ``-inf``; a -inf centre gives ``+inf`` (the sub-mean
-    inequality holds trivially there).
+    inequality holds trivially there).  The value is that of
+    :func:`laplacian_array` at the node.
     """
-    node = tuple(int(i) for i in node)
     dom = v.domain
-    if not dom.interior_mask()[node]:
+    # the node as the lattice reads it (negative entries count from the end)
+    node = tuple(range(n)[int(i)] for i, n in zip(node, dom.shape, strict=True))
+    box = tuple(slice(max(i - 1, 0), i + 2) for i in node)
+    lap, interior = _laplacian(v.values[box], dom.mask[box], dom.spacing)
+    at = tuple(i - s.start for i, s in zip(node, box))
+    if not interior[at]:
         raise PreconditionError("not interior: node or an axis neighbour is inactive")
-    centre = v.values[node]
-    nb = 0.0
-    for k in range(dom.dim):
-        for step in (1, -1):
-            idx = list(node)
-            idx[k] += step
-            nb += v.values[tuple(idx)]
-    if centre == -np.inf:
-        return PLUS_INF
-    if nb == -np.inf:
-        return MINUS_INF
-    return ExtReal((nb - 2.0 * dom.dim * centre) / dom.spacing**2)
+    return ExtReal(lap[at])
 
 
 def default_certification_tol(v: ScalarField) -> float:
@@ -630,23 +631,12 @@ def default_certification_tol(v: ScalarField) -> float:
     return 1e-8 * rng + 4.0 * v.spacing**2
 
 
-def _worst_index(arr: np.ndarray, where_mask: np.ndarray, box):
-    """Lattice index of the first maximum of ``arr`` over ``where_mask``,
-    both given on ``box``; None when the mask is empty."""
-    if not where_mask.any():
-        return None
-    masked = np.where(where_mask, arr, -np.inf)
-    idx = np.unravel_index(np.argmax(masked), arr.shape)
-    return tuple(int(i) + s.start for i, s in zip(idx, box))
-
-
 def is_subharmonic(
     v: ScalarField,
     tol: float,
     exclude: NodeSet | None = None,
     name: str = "subharmonic",
     tag: str = "subharmonic",
-    kind: str = "conclusion",
 ) -> VerificationReport:
     """Certify the discrete sub-mean inequality: stencil Laplacian >= -tol at
     every interior node.
@@ -667,10 +657,8 @@ def is_subharmonic(
         tested &= ~exclude.mask[box]
     skipped = tested & ~np.isfinite(lap)
     tested &= np.isfinite(lap)
-    violation = np.where(tested, np.maximum(0.0, -lap), 0.0)
-    worst = float(violation.max()) if tested.any() else 0.0
-    return check(
-        name, tag, worst, tol, _worst_index(violation, tested, box), kind,
+    return check_on(
+        name, tag, np.maximum(0.0, -lap[tested]), tested, tol, box=box,
         tested_nodes=int(tested.sum()), minus_inf_skipped=int(skipped.sum()),
     )
 
@@ -681,7 +669,6 @@ def is_harmonic(
     tol: float,
     name: str = "harmonic",
     tag: str = "harmonic",
-    kind: str = "conclusion",
 ) -> VerificationReport:
     """Certify ``|stencil Laplacian| <= tol`` on the region's interior nodes.
 
@@ -699,14 +686,9 @@ def is_harmonic(
     tested = region.mask[box] & interior
     if not tested.any():
         raise PreconditionError("no interior node to test in the region")
-    bad_inf = tested & ~np.isfinite(lap)
-    with np.errstate(invalid="ignore"):
-        violation = np.where(tested & np.isfinite(lap), np.abs(lap), 0.0)
-    violation[bad_inf] = np.inf
-    return check(
-        name, tag, violation.max(), tol, _worst_index(violation, tested, box), kind,
-        tested_nodes=int(tested.sum()),
-    )
+    violation = np.abs(lap[tested])
+    violation[~np.isfinite(violation)] = np.inf
+    return check_on(name, tag, violation, tested, tol, box=box, tested_nodes=int(tested.sum()))
 
 
 # ---------------------------------------------------------------------------

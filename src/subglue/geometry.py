@@ -263,21 +263,8 @@ class GridDomain:
         """Active nodes whose 2d axis neighbours are all active."""
         return _interior_mask(self.mask)
 
-    def boundary_mask(self) -> np.ndarray:
-        """Active nodes with at least one inactive axis neighbour (lattice
-        edges count as inactive)."""
-        return self.mask & ~self.interior_mask()
-
     def component_count(self) -> int:
         return _moore_labels(self.mask)[2]
-
-    def nearest_active_node(self, p) -> tuple:
-        """Index of the active node closest to ``p`` (first in row-major
-        order on ties, so the result is deterministic)."""
-        if not self.mask.any():
-            raise PreconditionError("domain has no active nodes")
-        d2 = np.where(self.mask, self.distance2_to(p), np.inf)
-        return tuple(int(i) for i in np.unravel_index(np.argmin(d2), self.shape))
 
     def with_mask(self, mask: np.ndarray) -> "GridDomain":
         return GridDomain(self.origin, self.spacing, self.shape, mask)

@@ -35,6 +35,7 @@ from .field import (
     ScalarField,
     VerificationReport,
     check,
+    check_on,
     is_harmonic,
     is_subharmonic,
     default_certification_tol,
@@ -142,19 +143,6 @@ class GlueResult:
         return self.hypotheses_ok and self.conclusions_ok
 
     @property
-    def worst_report(self) -> VerificationReport | None:
-        failing = [r for r in self.reports if not r.passed]
-        if not failing:
-            return None
-        return max(failing, key=lambda r: r.worst - r.tol)
-
-    def report_by_tag(self, tag: str) -> VerificationReport:
-        for r in self.reports:
-            if r.tag == tag:
-                return r
-        raise KeyError(tag)
-
-    @property
     def scale(self) -> float | None:
         return None if self.constants is None else self.constants.scale
 
@@ -165,6 +153,8 @@ class GlueResult:
 
 # tolerance of the nonnegativity conclusions on the core ("4.5+", "4.11+")
 _POSITIVITY_TOL = 1e-6
+# relative tolerance of the pole slope conclusions ("4.5o", "4.11o")
+_SLOPE_REL_TOL = 0.05
 
 
 def _one_sided_violation(lhs, rhs) -> np.ndarray:
@@ -182,15 +172,6 @@ def _equality_violation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.abs(a - b)
     both = (a == -np.inf) & (b == -np.inf)
     return np.where(both, 0.0, diff)
-
-
-def _bound_violation(vals: np.ndarray, lo=-math.inf, hi=math.inf) -> float:
-    """How far ``vals`` leave ``[lo, hi]``, 0 for no values.  A -inf value
-    meets ``lo = -inf`` and leaves a finite ``lo`` by inf."""
-    if not vals.size:
-        return 0.0
-    low, high = float(vals.min()), float(vals.max())
-    return max(0.0 if low == lo else max(0.0, lo - low), max(0.0, high - hi))
 
 
 def _overlap_interfaces(v: ScalarField, v0: ScalarField) -> tuple:
@@ -215,28 +196,14 @@ def _stage(name: str):
         raise PreconditionError(f"{name} stage: {exc}", tag=exc.tag) from exc
 
 
-def _interface_report(name, tag, violation, mask, tol, kind="hypothesis") -> VerificationReport:
-    """Report from a violation array evaluated on interface nodes."""
-    if mask.any():
-        vals = np.where(mask, violation, 0.0)
-        worst = float(vals.max())
-        where = np.unravel_index(np.argmax(vals), vals.shape)
-        where = tuple(int(i) for i in where) if worst > 0 else None
-    else:
-        worst = 0.0
-        where = None
-    return check(name, tag, worst, tol, where, kind, interface_nodes=int(mask.sum()))
-
-
 def _region_identity_report(name, tag, glued, source, mask) -> VerificationReport:
     """Bit-exact equality of the glued field with a source on a region: the
     values differ somewhere exactly when the largest difference is positive."""
     viol = _equality_violation(glued.values[mask], source.values[mask])
-    worst = viol.max() if viol.size else 0.0
-    return check(name, tag, worst, 0.0, region_nodes=int(mask.sum()))
+    return check_on(name, tag, viol, mask, 0.0, region_nodes=int(mask.sum()))
 
 
-def _pole_slope_report(name, tag, glued, green, region_mask, target, rel_tol=0.05):
+def _pole_slope_report(name, tag, glued, green, region_mask, target):
     """Least-squares slope of the glued field against ``-k_{d-2}(|x - o|)``
     over the region's part of the ring ``2h <= |x - o| <= 8h``, checked
     relative to ``target``; a ring of fewer than 8 nodes (or with no spread
@@ -249,11 +216,11 @@ def _pole_slope_report(name, tag, glued, green, region_mask, target, rel_tol=0.0
     x = -kernel_k(lattice.dim - 2, r[ring])
     vx = float(np.var(x)) if n >= 8 else 0.0
     if vx == 0.0:
-        return check(name, tag, math.inf, rel_tol, ring_nodes=n, reason="ring too thin")
+        return check(name, tag, math.inf, _SLOPE_REL_TOL, ring_nodes=n, reason="ring too thin")
     y = glued.values[ring]
     slope = float(np.mean((x - x.mean()) * (y - y.mean())) / vx)
     worst = abs(slope - target) / max(abs(target), 1e-300)
-    return check(name, tag, worst, rel_tol, ring_nodes=n, slope=slope, target=target)
+    return check(name, tag, worst, _SLOPE_REL_TOL, ring_nodes=n, slope=slope, target=target)
 
 
 def _core_conclusions(glued, core_mask, green, scale, tag, phrase, harmonic_tol) -> list:
@@ -270,15 +237,19 @@ def _core_conclusions(glued, core_mask, green, scale, tag, phrase, harmonic_tol)
             glued, NodeSet(glued.domain, core_mask), harmonic_tol,
             name=f"glued field harmonic on the {phrase} off the pole", tag=tag + "h",
         ),
-        check(
+        check_on(
             f"glued field nonnegative on the {phrase}", tag + "+",
-            max(0.0, -float(core_vals.min())) if core_vals.size else 0.0,
-            _POSITIVITY_TOL, core_nodes=int(core_vals.size),
+            np.maximum(0.0, -core_vals), core_mask, _POSITIVITY_TOL,
+            core_nodes=int(core_vals.size),
         ),
     ]
     if scale == 0.0:
-        core_abs = float(np.abs(core_vals).max()) if core_vals.size else 0.0
-        reports.append(check("zero scale collapses the core to zero", tag + "o", core_abs, 0.0))
+        reports.append(
+            check_on(
+                "zero scale collapses the core to zero", tag + "o",
+                np.abs(core_vals), core_mask, 0.0,
+            )
+        )
     else:
         reports.append(
             _pole_slope_report(
@@ -313,14 +284,11 @@ def glue_basic(
     inner = u0.domain.active_set()
     interface = o_mask & inner.adjacent().mask
     limsup_u0 = neighbour_max(u0, inner)
-    violation = _equality_violation(limsup_u0, u.values)
+    violation = _equality_violation(limsup_u0[interface], u.values[interface])
     reports = [
-        _interface_report(
-            "interface matching: limsup of inner field equals outer field",
-            "1.1",
-            violation,
-            interface,
-            tol,
+        check_on(
+            "interface matching: limsup of inner field equals outer field", "1.1",
+            violation, interface, tol, "hypothesis", interface_nodes=int(interface.sum()),
         )
     ]
 
@@ -339,11 +307,11 @@ def glue_basic(
             o_mask & ~o0_mask,
         )
     )
-    dom_viol = _one_sided_violation(u.values, glued.values)
+    dom_viol = _one_sided_violation(u.values[o_mask], glued.values[o_mask])
     reports.append(
-        _interface_report(
+        check_on(
             "glued field dominates the outer field", "1.2>=", dom_viol, o_mask, 0.0,
-            kind="conclusion",
+            interface_nodes=int(o_mask.sum()),
         )
     )
     return GlueResult(field=glued, reports=reports)
@@ -370,19 +338,15 @@ def glue_two(
     limsup_v0 = neighbour_max(v0, overlap_set)
 
     reports = [
-        _interface_report(
-            "outer-field limsup below inner field at the inner edge",
-            "3.1_0",
-            _one_sided_violation(limsup_v, v0.values),
-            iface0,
-            tol,
+        check_on(
+            "outer-field limsup below inner field at the inner edge", "3.1_0",
+            _one_sided_violation(limsup_v[iface0], v0.values[iface0]), iface0, tol,
+            "hypothesis", interface_nodes=int(iface0.sum()),
         ),
-        _interface_report(
-            "inner-field limsup below outer field at the outer edge",
-            "3.1_1",
-            _one_sided_violation(limsup_v0, v.values),
-            iface1,
-            tol,
+        check_on(
+            "inner-field limsup below outer field at the outer edge", "3.1_1",
+            _one_sided_violation(limsup_v0[iface1], v.values[iface1]), iface1, tol,
+            "hypothesis", interface_nodes=int(iface1.sum()),
         ),
     ]
 
@@ -475,37 +439,36 @@ def glue_quantitative(
     reports = []
 
     # lower bound on v at the outer side of the inner edge
-    viol_m = _one_sided_violation(c.m_v, v.values)
     reports.append(
-        _interface_report(
-            "lower constant below the outer field at the inner edge",
-            "3.3m", viol_m, iface1, tol,
+        check_on(
+            "lower constant below the outer field at the inner edge", "3.3m",
+            _one_sided_violation(c.m_v, v.values[iface1]), iface1, tol,
+            "hypothesis", interface_nodes=int(iface1.sum()),
         )
     )
 
     # upper bound on the limsup of v at the inner side of the outer edge
     limsup_v = neighbour_max(v, overlap_set)
-    viol_M = _one_sided_violation(limsup_v, c.M_v)
     reports.append(
-        _interface_report(
-            "outer-field limsup below the upper constant at the outer edge",
-            "3.3M", viol_M, iface0, tol,
+        check_on(
+            "outer-field limsup below the upper constant at the outer edge", "3.3M",
+            _one_sided_violation(limsup_v[iface0], c.M_v), iface0, tol,
+            "hypothesis", interface_nodes=int(iface0.sum()),
         )
     )
 
     # reference chain: limsup g <= m_g on one side, M_g <= g on the other
+    # (the two interfaces are disjoint)
     limsup_g = neighbour_max(g, overlap_set)
     viol_g_low = _one_sided_violation(limsup_g, c.m_g)
     if iface1.any() and limsup_g[iface1].max() == -np.inf:
-        viol_g_low = np.where(iface1, np.inf, viol_g_low)
-    viol_g_high = _one_sided_violation(c.M_g, g.values)
-    chain_viol = np.maximum(
-        np.where(iface1, viol_g_low, 0.0), np.where(iface0, viol_g_high, 0.0)
-    )
+        viol_g_low[:] = np.inf
+    chain = iface0 | iface1
+    chain_viol = np.where(iface1, viol_g_low, _one_sided_violation(c.M_g, g.values))
     reports.append(
-        _interface_report(
-            "reference-field chain across the interfaces",
-            "3.3g", chain_viol, iface0 | iface1, tol,
+        check_on(
+            "reference-field chain across the interfaces", "3.3g",
+            chain_viol[chain], chain, tol, "hypothesis", interface_nodes=int(chain.sum()),
         )
     )
 
@@ -515,19 +478,19 @@ def glue_quantitative(
 
     # replay the two displayed inequality chains at grid nodes
     plus = c.plus_part
-    worst_outer = _one_sided_violation(plus, v0.values)[iface0].max(initial=0.0)
     reports.append(
-        check(
+        check_on(
             "chain replay: inner field dominates the combined constant at the outer edge",
-            "3.4.outer", worst_outer, tol, interface_nodes=int(iface0.sum()),
+            "3.4.outer", _one_sided_violation(plus, v0.values[iface0]), iface0, tol,
+            interface_nodes=int(iface0.sum()),
         )
     )
     limsup_v0 = neighbour_max(v0, overlap_set)
-    worst_inner = _one_sided_violation(limsup_v0, -plus)[iface1].max(initial=0.0)
     reports.append(
-        check(
+        check_on(
             "chain replay: inner-field limsup below the negated constant at the inner edge",
-            "3.4.inner", worst_inner, tol, interface_nodes=int(iface1.sum()),
+            "3.4.inner", _one_sided_violation(limsup_v0[iface1], -plus), iface1, tol,
+            interface_nodes=int(iface1.sum()),
         )
     )
 
@@ -618,11 +581,12 @@ def glue_green(
         )
 
     shell = s.mask & ~s0.mask
+    v_shell = v.values[shell]
     reports = [
-        check(
+        check_on(
             "field bounds on the intermediate shell", "4.2'",
-            _bound_violation(v.values[shell], m_v, M_v), tol,
-            kind="hypothesis", shell_nodes=int(shell.sum()),
+            np.maximum(_one_sided_violation(m_v, v_shell), _one_sided_violation(v_shell, M_v)),
+            shell, tol, "hypothesis", shell_nodes=int(shell.sum()),
         )
     ]
 
@@ -731,10 +695,10 @@ def glue_full(
 
     collar = p_full.mask & ~s0.mask
     reports = [
-        check(
+        check_on(
             "field bounded above on the r-parallel collar", "4.9M",
-            _bound_violation(v.values[collar], hi=M_v), tol,
-            kind="hypothesis", collar_nodes=int(collar.sum()),
+            _one_sided_violation(v.values[collar], M_v), collar, tol,
+            "hypothesis", collar_nodes=int(collar.sum()),
         )
     ]
 
@@ -765,25 +729,24 @@ def glue_full(
     tilde = continuation.field
 
     reports.append(
-        check(
+        check_on(
             "continued field dominated from below by the mean constant on the middle shell",
-            "cont.lower", _bound_violation(tilde.values[shell.mask], lo=m_v), tol,
-            shell_nodes=shell.count,
+            "cont.lower", _one_sided_violation(m_v, tilde.values[shell.mask]), shell.mask,
+            tol, shell_nodes=shell.count,
         )
     )
     reports.append(
-        check(
+        check_on(
             "continued field bounded above on the collar", "cont.upper",
-            _bound_violation(tilde.values[collar], hi=M_v), tol,
+            _one_sided_violation(tilde.values[collar], M_v), collar, tol,
             collar_nodes=int(collar.sum()),
         )
     )
-    dom_worst = float(
-        _one_sided_violation(v.values[v.domain.mask], tilde.values[v.domain.mask]).max()
-    )
+    v_mask = v.domain.mask
     reports.append(
-        check(
-            "continued field dominates the original", "cont.dom", dom_worst, 1e-9,
+        check_on(
+            "continued field dominates the original", "cont.dom",
+            _one_sided_violation(v.values[v_mask], tilde.values[v_mask]), v_mask, 1e-9,
             max_engaged=continuation.max_engaged,
         )
     )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from subglue import Ball, GridDomain, NodeSet, ScalarField, rasterize, rasterize_ball
+from subglue import Ball, GridDomain, NodeSet, ScalarField, as_point, rasterize, rasterize_ball
+from subglue.harmonic import _snap_pole
 
 
 def disk_domain(radius=1.0, h=1 / 64, pad=0.0, center=(0.0, 0.0)):
@@ -32,6 +33,45 @@ def log_field(domain, center=(0.0, 0.0)):
 
 def radius_field(domain, center=(0.0, 0.0)):
     return np.sqrt(domain.distance2_to(center))
+
+
+def nearest_node(domain, p):
+    """The active node nearest to ``p``, as the Green solve snaps its pole."""
+    return _snap_pole(domain, domain.mask, as_point(p))[0]
+
+
+def minus_inf_set(v):
+    return NodeSet(v.domain, v.values == -np.inf)
+
+
+def equal_on(a, b, mask):
+    """Bit-exact equality of two fields' values on the given nodes."""
+    return bool(np.array_equal(a.values[mask], b.values[mask]))
+
+
+def report_by_tag(result, tag):
+    for r in result.reports:
+        if r.tag == tag:
+            return r
+    raise KeyError(tag)
+
+
+def worst_report(result):
+    """The failing report furthest beyond its tolerance, None if all pass."""
+    failing = [r for r in result.reports if not r.passed]
+    return max(failing, key=lambda r: r.worst - r.tol) if failing else None
+
+
+def project_simplex(w):
+    """Euclidean projection onto the probability simplex (sort-based)."""
+    w = np.asarray(w, dtype=float)
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, len(w) + 1)
+    cond = u - css / ind > 0
+    rho = int(np.count_nonzero(cond))
+    theta = css[rho - 1] / rho
+    return np.maximum(w - theta, 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,10 @@ from subglue import (
     mutual_energy,
 )
 from subglue import capacity as capacity_module
-from subglue.capacity import _kernel_matrix, project_simplex
+from subglue.capacity import _kernel_matrix
 from subglue.kernels import kernel_k
+
+from conftest import project_simplex
 
 
 def roots_of_unity(n, radius=1.0):
@@ -125,7 +127,7 @@ def test_regularization_share_flag():
     # two clusters of nearly-coincident points make the diagonal term matter
     pts = np.array([[0, 0], [1e-9, 0], [1, 0], [1, 1e-9]], dtype=float)
     e = mutual_energy(DiscreteMeasure.uniform(pts), 2)
-    assert e.regularization_dominant
+    assert e.regularization_share > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +415,22 @@ def test_fekete_preconditions():
         fekete_capacity(np.zeros((10, 3)), 4)  # planar only
 
 
+def test_fekete_needs_n_distinct_candidates():
+    # a repeated point would have log distance -inf to its copy
+    with pytest.raises(PreconditionError, match="only 1 distinct candidate points for n = 4"):
+        fekete_capacity(np.zeros((64, 2)), 4)
+    three = np.repeat(roots_of_unity(3), 10, axis=0)
+    with pytest.raises(PreconditionError, match="only 3 distinct candidate points for n = 4"):
+        fekete_capacity(three, 4)
+    # distinct points whose squared distance underflows coincide too
+    tiny = np.array([[0.0, 0.0], [1e-200, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(PreconditionError, match="zero squared distance"):
+        fekete_capacity(tiny, 4)
+    # n distinct points among repeats are enough
+    rep = fekete_capacity(np.repeat(roots_of_unity(4), 10, axis=0), 4)
+    assert rep.capacity == pytest.approx(fekete_capacity(roots_of_unity(4), 4).capacity)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_points_are_rejected(bad):
     pts = roots_of_unity(16)
@@ -516,10 +534,16 @@ FEKETE_CASES = list(_fekete_cases())
 )
 def test_fekete_is_bit_identical_to_dense_search(cand, n, monkeypatch):
     energy, capacity, swaps, converged, points = dense_fekete(cand, n)
+    distinct = len(np.unique(cand, axis=0))
     # the default block scans these sets in one block; 7 entries per block
     # splits the farthest-pair scan into one row per block
     for block in (capacity_module._PAIR_BLOCK, 7):
         monkeypatch.setattr(capacity_module, "_PAIR_BLOCK", block)
+        if len(np.unique(points, axis=0)) < n:
+            # the reference configuration repeats a point, which has no energy
+            with pytest.raises(PreconditionError, match=f"only {distinct} distinct"):
+                fekete_capacity(cand, n)
+            continue
         rep = fekete_capacity(cand, n)
         assert rep.energy == energy
         assert rep.capacity == capacity

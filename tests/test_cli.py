@@ -447,6 +447,24 @@ def test_capacity_over_memory_budget_exits_precondition(tmp_path):
     assert "320,000,000,000 bytes" in report["error"]["message"]
 
 
+def test_verify_on_a_constant_field_reports_an_unsigned_zero_and_no_node(tmp_path):
+    text = VERIFY_CONCAVE.replace("field neg { file neg.txt }", "field c { constant 2 }")
+    cfg = write_cfg(tmp_path, text.replace("field neg\n", "field c\n"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert '"worst_violation": 0.0\n' in text and "-0.0" not in text
+    assert json.loads(text)["checks"][0]["location"] is None
+
+
+def test_capacity_of_coincident_circle_points_exits_precondition(tmp_path):
+    # a circle of radius 0 samples one point 64 times
+    cfg = write_cfg(tmp_path, CAPACITY_CIRCLE.replace("circle 0 0 1 64", "circle 0 0 0 64"))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["message"] == "only 1 distinct candidate points for n = 8"
+
+
 HUGE_GRID = """
 grid {
   origin -1 -1

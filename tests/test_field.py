@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,9 @@ from subglue import (
     rasterize_ball,
     spherical_mean,
 )
-from subglue.field import _neighbour_sum, check, laplacian_array, neighbour_max
+from subglue.field import _neighbour_sum, check, check_on, laplacian_array, neighbour_max
 
-from conftest import annulus_domain, disk_domain, log_field
+from conftest import annulus_domain, disk_domain, log_field, minus_inf_set, nearest_node
 
 
 def quad_field(domain, alpha=1.0, center=(0.0, 0.0)):
@@ -48,15 +50,15 @@ def test_field_rejects_plus_inf_and_nan():
 def test_minus_inf_set_is_tracked():
     dom = disk_domain(1.0, h=1 / 8)
     v = kernel_field(dom, 2, (0.0, 0.0))
-    assert v.minus_inf_set().count == 1
-    assert v.at(dom.nearest_active_node((0, 0))) == MINUS_INF
+    assert minus_inf_set(v).count == 1
+    assert v.at(nearest_node(dom, (0, 0))) == MINUS_INF
 
 
 def test_affine_image_zero_scale_kills_minus_inf():
     dom = disk_domain(1.0, h=1 / 8)
     v = kernel_field(dom, 2, (0.0, 0.0))
     z = v.affine_image(0.0, 0.0)
-    assert z.minus_inf_set().count == 0
+    assert minus_inf_set(z).count == 0
     assert np.all(z.values[dom.mask] == 0.0)
 
 
@@ -149,21 +151,21 @@ def test_spherical_mean_three_dimensional():
 def test_laplacian_exact_on_quadratic():
     dom = disk_domain(1.0, h=1 / 32)
     v = quad_field(dom)
-    node = dom.nearest_active_node((0.25, 0.25))
+    node = nearest_node(dom, (0.25, 0.25))
     assert float(discrete_laplacian(v, node)) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_laplacian_zero_on_affine():
     dom = disk_domain(1.0, h=1 / 32)
     v = ScalarField.affine(dom, (3.0, -2.0), 1.0)
-    node = dom.nearest_active_node((0.1, -0.3))
+    node = nearest_node(dom, (0.1, -0.3))
     assert float(discrete_laplacian(v, node)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_laplacian_minus_inf_neighbour():
     dom = disk_domain(1.0, h=1 / 8)
     v = kernel_field(dom, 2, (0.0, 0.0))
-    pole = dom.nearest_active_node((0, 0))
+    pole = nearest_node(dom, (0, 0))
     beside = (pole[0] + 1, pole[1])
     assert discrete_laplacian(v, beside) == MINUS_INF
 
@@ -171,9 +173,31 @@ def test_laplacian_minus_inf_neighbour():
 def test_laplacian_not_interior_errors():
     dom = disk_domain(1.0, h=1 / 8)
     v = ScalarField.constant(dom, 0.0)
-    edge = tuple(np.argwhere(dom.boundary_mask())[0])
+    edge = tuple(np.argwhere(dom.active_set().inner_boundary().mask)[0])
     with pytest.raises(PreconditionError, match="not interior"):
         discrete_laplacian(v, edge)
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (6, 7, 5)])
+def test_laplacian_at_a_node_matches_the_array(shape):
+    # random masks and values with -inf centres and neighbours: the node
+    # value is bit-identical to the array's, also at negative indices
+    rng = np.random.default_rng(len(shape))
+    mask = rng.random(shape) < 0.85
+    vals = rng.normal(size=shape)
+    vals[rng.random(shape) < 0.1] = -np.inf
+    v = ScalarField(GridDomain((0.0,) * len(shape), 0.3, shape, mask), vals)
+    lap, interior = laplacian_array(v)
+    nodes = np.argwhere(interior)
+    assert len(nodes) > 10 and np.isinf(lap[interior]).any()
+    for node in nodes:
+        want = lap[tuple(node)]
+        for index in (node, node - shape):
+            got = float(discrete_laplacian(v, index))
+            assert got == want and np.signbit(got) == np.signbit(want)
+    for node in np.argwhere(mask & ~interior)[:20]:
+        with pytest.raises(PreconditionError, match="not interior"):
+            discrete_laplacian(v, node - shape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +269,7 @@ def test_sub_mean_value_property_on_random_pairs():
             rad = rng.uniform(0.0, 0.6)
             centre = (rad * np.cos(ang), rad * np.sin(ang))
             r = rng.uniform(2 * h, 0.3)
-            node = dom.nearest_active_node(centre)
+            node = nearest_node(dom, centre)
             mean = spherical_mean(v, dom.node_point(node), r, samples=128)
             assert float(v.at(node)) <= mean + tol + 1e-7
 
@@ -254,6 +278,19 @@ def test_report_invariant_fail_iff_worst_exceeds_tol():
     passing = check("x", "t", worst=0.5, tol=0.5)
     failing = check("x", "t", worst=0.5000001, tol=0.5)
     assert passing.passed and not failing.passed
+
+
+def test_pointwise_report_names_its_first_worst_node():
+    mask = np.zeros((4, 5), dtype=bool)
+    mask[1, 1:4] = mask[2, 0] = True
+    box = (slice(3, 7), slice(1, 6))
+    rep = check_on("x", "t", np.array([0.5, 2.0, 1.0, 2.0]), mask, 1.0, box=box)
+    assert (rep.worst, rep.where, rep.passed) == (2.0, (4, 3), False)
+    # a zero worst names no node and is +0.0, also when it comes from -0.0
+    zero = check_on("x", "t", np.maximum(0.0, -np.zeros(4)), mask, 1.0)
+    assert zero.where is None and not np.signbit(zero.worst)
+    empty = check_on("x", "t", np.array([]), np.zeros((4, 5), dtype=bool), 0.0)
+    assert (empty.worst, empty.where, empty.passed) == (0.0, None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +318,7 @@ def test_boundary_limsup_constant_and_single_neighbour():
     assert boundary_limsup(v, inner, tuple(outside)) == 2.5
 
     lone_mask = np.zeros(dom.shape, dtype=bool)
-    node = dom.nearest_active_node((0.2, 0.2))
+    node = nearest_node(dom, (0.2, 0.2))
     lone_mask[node] = True
     vals = np.where(dom.mask, 0.0, 0.0)
     vals[node] = -3.5
@@ -334,7 +371,7 @@ def test_extremal_constants():
 
     w = kernel_field(dom, 2, (0.0, 0.0))
     m, big = extremal_constants(w, s)
-    assert m == MINUS_INF and big.is_finite
+    assert m == MINUS_INF and math.isfinite(big)
 
     rng = np.random.default_rng(12)
     vals = np.where(dom.mask, rng.normal(size=dom.shape), 0.0)

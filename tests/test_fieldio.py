@@ -15,7 +15,7 @@ from subglue import (
 )
 from subglue.fieldio import _rle_decode, _rle_encode, field_from_text, field_to_text
 
-from conftest import disk_domain
+from conftest import disk_domain, minus_inf_set
 
 
 def test_rle_round_trip_edge_cases():
@@ -79,7 +79,7 @@ def test_field_file_minus_inf_literal(tmp_path):
     text = path.read_text()
     assert "-inf" in text.splitlines()
     back = read_field(path)
-    assert back.minus_inf_set().count == 1
+    assert minus_inf_set(back).count == 1
     assert np.array_equal(back.values[dom.mask], v.values[dom.mask])
 
 

@@ -12,13 +12,14 @@ from subglue import (
     glue_green,
     glue_quantitative,
     glue_two,
+    parallel_set,
     quantitative_v0,
     rasterize,
     rasterize_ball,
     regularized_domain,
 )
 
-from conftest import disk_domain, log_field
+from conftest import disk_domain, equal_on, log_field, report_by_tag, worst_report
 
 
 def quad_field(domain, alpha=1.0, center=(0.0, 0.0)):
@@ -41,8 +42,8 @@ def test_glue_basic_identity():
     inner = dom.with_mask(dom.mask & (dom.distance2_to((0, 0)) < 0.25))
     u0 = u.restricted(inner.mask)
     res = glue_basic(u, u0, tol=2 * h)  # |grad u| <= 1 on the disk
-    assert res.verified, res.worst_report
-    assert res.field.equal_on(u, dom.mask)
+    assert res.verified, worst_report(res)
+    assert equal_on(res.field, u, dom.mask)
 
 
 def test_glue_basic_dominated_inner_piece():
@@ -61,8 +62,8 @@ def test_glue_basic_dominated_inner_piece():
     bump = (rr - 0.3) * (rr - 0.8)
     u0 = ScalarField(inner, np.where(inner.mask, u.values + bump, 0.0))
     res = glue_basic(u, u0, tol=3 * h * 4.0, cert_tol=100 * h * h / 0.2**2)
-    assert res.verified, res.worst_report
-    assert res.field.equal_on(u, dom.mask)
+    assert res.verified, worst_report(res)
+    assert equal_on(res.field, u, dom.mask)
 
 
 def test_glue_basic_flags_hypothesis_violation():
@@ -72,7 +73,7 @@ def test_glue_basic_flags_hypothesis_violation():
     u0 = ScalarField.constant(inner, 1.0)
     res = glue_basic(u, u0, tol=1e-6)
     assert not res.verified
-    rep = res.report_by_tag("1.1")
+    rep = report_by_tag(res, "1.1")
     assert not rep.passed and rep.kind == "hypothesis"
     assert rep.worst == pytest.approx(1.0)
     # the construction is still returned
@@ -98,7 +99,7 @@ def test_glue_two_identical_pieces():
     v = quad_field(dom, 0.3)
     res = glue_two(v, v, tol=1e-9)
     assert res.verified
-    assert res.field.equal_on(v, dom.mask)
+    assert equal_on(res.field, v, dom.mask)
 
 
 def test_glue_two_disjoint_closures():
@@ -111,8 +112,8 @@ def test_glue_two_disjoint_closures():
     res = glue_two(v, v0, tol=1e-9)
     assert res.verified
     assert res.field.domain.mask.sum() == left.mask.sum() + right.mask.sum()
-    assert res.field.equal_on(v, left.mask)
-    assert res.field.equal_on(v0, right.mask)
+    assert equal_on(res.field, v, left.mask)
+    assert equal_on(res.field, v0, right.mask)
 
 
 def test_glue_two_overlapping_disks_certified():
@@ -130,8 +131,8 @@ def test_glue_two_overlapping_disks_certified():
         return ScalarField(dom, np.where(dom.mask, vals, 0.0))
 
     res = glue_two(base(left), base(right), tol=4 * h, cert_tol=1e-4)
-    assert res.verified, res.worst_report
-    assert res.report_by_tag("3.2").passed
+    assert res.verified, worst_report(res)
+    assert report_by_tag(res, "3.2").passed
 
 
 def test_glue_two_one_sided_violations_are_named():
@@ -145,15 +146,15 @@ def test_glue_two_one_sided_violations_are_named():
     res = glue_two(
         ScalarField.constant(left, 10.0), ScalarField.constant(right, 0.0), tol=1e-6
     )
-    assert not res.report_by_tag("3.1_0").passed
-    assert res.report_by_tag("3.1_1").passed
+    assert not report_by_tag(res, "3.1_0").passed
+    assert report_by_tag(res, "3.1_1").passed
 
     # swap the roles: only the second hypothesis breaks
     res2 = glue_two(
         ScalarField.constant(left, 0.0), ScalarField.constant(right, 10.0), tol=1e-6
     )
-    assert res2.report_by_tag("3.1_0").passed
-    assert not res2.report_by_tag("3.1_1").passed
+    assert report_by_tag(res2, "3.1_0").passed
+    assert not report_by_tag(res2, "3.1_1").passed
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def test_glue_quantitative_zero_field_scene():
     # limsup g at the inner interface (|x| ~ 0.6) is ~0
     c = GlueConstants(M_v=0.0, m_v=0.0, M_g=0.9, m_g=0.1)
     res = glue_quantitative(v, g, c, tol=0.05, cert_tol=0.05)
-    assert res.verified, res.worst_report
+    assert res.verified, worst_report(res)
     # zero scale: the inner field collapses to zero
     assert res.constants.scale == 0.0
 
@@ -228,7 +229,7 @@ def test_glue_quantitative_violated_reference_chain_is_named():
     # M_g = 5 exceeds the actual infimum of g (~1) at the outer interface
     c = GlueConstants(M_v=0.0, m_v=0.0, M_g=5.0, m_g=0.1)
     res = glue_quantitative(v, g, c, tol=0.05, cert_tol=0.05)
-    rep = res.report_by_tag("3.3g")
+    rep = report_by_tag(res, "3.3g")
     assert not rep.passed and rep.kind == "hypothesis"
     assert not res.verified
 
@@ -263,7 +264,7 @@ def test_glue_green_zero_field_collapses():
     d_dom = regularized_domain(s0, 0.3, outer)
     res = glue_green(v, s0, s, d_dom, (0, 0), m_v=0.0, M_v=0.0, tol=1e-9,
                      cert_tol=1e-6)
-    assert res.verified, res.worst_report
+    assert res.verified, worst_report(res)
     assert res.constants.scale == 0.0
     inner_vals = res.field.values[s0.mask]
     assert np.all(inner_vals == 0.0)
@@ -281,11 +282,11 @@ def test_glue_green_log_scene_certified():
         m_v=float(np.log(0.2) - 0.01), M_v=float(np.log(0.5) + 0.01),
         tol=1e-6, cert_tol=0.05,
     )
-    assert res.verified, res.worst_report
-    assert res.report_by_tag("4.5o").passed
-    assert res.report_by_tag("4.5+").passed
+    assert res.verified, worst_report(res)
+    assert report_by_tag(res, "4.5o").passed
+    assert report_by_tag(res, "4.5+").passed
     # region identity off the intermediate set
-    assert res.field.equal_on(v, outer.mask & ~s.mask)
+    assert equal_on(res.field, v, outer.mask & ~s.mask)
 
 
 def test_glue_green_pole_outside_core_errors():
@@ -330,14 +331,14 @@ def test_glue_full_zero_field_scene():
     s0 = NodeSet(outer, outer.mask & (rr2 < 0.15**2))
     v = ScalarField.constant(outer.with_mask(outer.mask & ~s0.mask), 0.0)
     res = glue_full(v, s0, (0, 0), r=0.3, M_v=0.0, tol=1e-6, cert_tol=1e-6)
-    assert res.verified, res.worst_report
+    assert res.verified, worst_report(res)
     assert res.constants.scale == 0.0
     assert np.all(res.field.values[res.field.domain.mask] == 0.0)
 
 
 def test_glue_full_pipeline_invariants(pipeline_scene):
     res = pipeline_scene["result"]
-    assert res.verified, res.worst_report
+    assert res.verified, worst_report(res)
     # dominance where the max applies: the glued field is >= the continued
     # field everywhere both live, up to nothing (max is exact)
     tilde = res.continuation.field
@@ -390,19 +391,39 @@ def test_glue_green_minus_inf_on_shell_fails_bounds_by_inf():
     v = ScalarField(v_dom, np.where(v_dom.mask, vals, 0.0))
     d_dom = regularized_domain(s0, 0.3, outer)
     res = glue_green(v, s0, s, d_dom, (0, 0), m_v=-1.0, M_v=0.0, tol=1e-9)
-    bounds = res.report_by_tag("4.2'")
+    bounds = report_by_tag(res, "4.2'")
     assert bounds.worst == np.inf and not bounds.passed
     assert not res.verified
 
 
+def test_glue_full_bound_checks_name_the_lowest_shell_node(pipeline_scene):
+    # cont.lower and 4.2' both bound the continued field from below by m_v on
+    # the middle shell; each names the node where it is lowest
+    res, s0, r = pipeline_scene["result"], pipeline_scene["s0"], pipeline_scene["r"]
+    shell = parallel_set(s0, 2 * r / 3).mask & ~parallel_set(s0, r / 3).mask
+    tilde = res.continuation.field.values
+    lowest = np.unravel_index(np.flatnonzero(shell)[np.argmin(tilde[shell])], shell.shape)
+    for tag in ("cont.lower", "4.2'"):
+        rep = report_by_tag(res, tag)
+        assert rep.worst == res.extras["m_v"] - tilde[lowest] > 0
+        assert rep.where == tuple(int(i) for i in lowest)
+
+
 def test_bound_violation_minus_inf_convention():
-    from subglue.gluing import _bound_violation
+    # the bound checks (4.2', 4.9M, cont.*) as the larger of the two one-sided
+    # violations, reported through the shared builder
+    from subglue.field import check_on
+    from subglue.gluing import _one_sided_violation
+
+    def bound_worst(vals, lo=-np.inf, hi=np.inf):
+        viol = np.maximum(_one_sided_violation(lo, vals), _one_sided_violation(vals, hi))
+        return check_on("bounds", "b", viol, np.ones(vals.shape, dtype=bool), 0.0).worst
 
     vals = np.array([-np.inf, 0.5])
-    assert _bound_violation(vals, -np.inf, 1.0) == 0.0
-    assert _bound_violation(vals, -1.0, 1.0) == np.inf
-    assert _bound_violation(vals, hi=0.25) == 0.25
-    assert _bound_violation(np.array([]), 1.0, 0.0) == 0.0
+    assert bound_worst(vals, -np.inf, 1.0) == 0.0
+    assert bound_worst(vals, -1.0, 1.0) == np.inf
+    assert bound_worst(vals, hi=0.25) == 0.25
+    assert bound_worst(np.array([]), 1.0, 0.0) == 0.0
 
 
 def _full_scene_h64(vals=None):

@@ -76,7 +76,7 @@ def test_solve_respects_maximum_principle():
     dom = disk_domain(1.0, h=1 / 32)
     data = np.where(dom.mask, rng.uniform(-3.0, 7.0, size=dom.shape), 0.0)
     sol = solve_dirichlet(dom, data)
-    boundary = dom.boundary_mask()
+    boundary = dom.active_set().inner_boundary().mask
     lo, hi = data[boundary].min(), data[boundary].max()
     vals = sol.values[dom.mask]
     assert vals.min() >= lo and vals.max() <= hi
@@ -591,7 +591,7 @@ def test_pole_snap_on_a_box_matches_the_whole_lattice(d):
     poles += [np.where(np.arange(d) == d - 1, 1e300, 0.0)]
     # on boundary nodes, where the nearest interior node may lie just at
     # the sqrt(d) h limit
-    poles += list(dom.node_points(np.argwhere(dom.boundary_mask()))[::5])
+    poles += list(dom.node_points(np.argwhere(dom.active_set().inner_boundary().mask))[::5])
     found = 0
     for o in poles:
         expected = _whole_lattice_pole(dom, o)

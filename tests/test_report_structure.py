@@ -254,3 +254,23 @@ def test_zero_scale_green_report_is_pinned():
     records = [r.as_record() for r in res.reports]
     assert structure(records) == green_checks(zero_scale=True)
     assert all(np.isfinite(r["worst_violation"]) for r in records)
+
+
+# the checks that measure no pointwise worst: a flag and the slope regressions
+NOT_POINTWISE = {"4.9m", "4.5o", "4.11o"}
+
+
+@pytest.mark.parametrize("command", config.COMMANDS)
+def test_positive_pointwise_worst_names_a_lattice_node(tmp_path, command):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(SCENES[command])
+    main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    shape = config.parse_config(SCENES[command]).shape
+    for r in json.loads((tmp_path / "out" / "report.json").read_text())["checks"]:
+        if r["tag"] in NOT_POINTWISE:
+            continue
+        if r["worst_violation"] > 0:
+            assert r["location"] is not None, r["tag"]
+            assert all(0 <= i < n for i, n in zip(r["location"], shape, strict=True))
+        else:
+            assert r["location"] is None, r["tag"]
