@@ -12,15 +12,16 @@ conditions (the potential is constant on the support and no larger off it);
 ``iterations`` counts its bordered-system solves, and ``converged`` means
 the conditions hold to ``tol``.  ``fekete_capacity`` estimates the capacity
 of a planar candidate set by a greedy-plus-exchange search for an n-point
-configuration maximizing the sum of pairwise log distances.  It holds only
-the log-distance columns of the n selected points, so m candidates take
-O(m n) memory.
+configuration maximizing the sum of pairwise log distances in O(m n)
+memory: an n x m row block of log distances, one m x n copy of it and an
+n x m scratch block for the exchange passes, about 3 * 8 m n bytes at peak.
 
 The energies and the equilibrium weights build m x m arrays over their m
 support points, and the equilibrium solve an (m + 1) x (m + 1) bordered
-system.  Every such array, and Fekete's m x n block, is checked against the
+system.  Every such array, and Fekete's 8 m n bytes, is checked against the
 512 MiB budget of ``errors._require_memory`` before it is allocated; a
-larger request raises a ``PreconditionError`` that names the size.
+larger request, or points whose squared distances could overflow, raise a
+``PreconditionError`` before any pairwise work.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ _FEKETE_MAX_PASSES = 200
 def _require_finite(pts: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(pts)):
         raise PreconditionError(f"{what} points must be finite")
+    # rounding is monotone, so the squared norm of the per-axis spread bounds
+    # every pair's dx*dx + dy*dy + ...; rows per axis reduce contiguously
+    coords = pts.T.copy()
+    with np.errstate(over="ignore"):
+        spread = coords.max(axis=1) - coords.min(axis=1)
+        if not math.isfinite(float(np.sum(spread * spread))):
+            raise PreconditionError(f"squared distances of the {what} points overflow")
 
 
 def _pairwise_dist2(pts: np.ndarray) -> np.ndarray:
@@ -290,7 +298,9 @@ def _farthest_pair(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
     """The first (i, j) in row-major order with the largest squared distance
     ``dx*dx + dy*dy``, i != j: the pair ``argmax`` picks from the dense
     matrix with a -inf diagonal, found without building that matrix."""
-    cx, cy = x.mean(), y.mean()
+    # the bounding-box centre: a mean of coordinates near the float limit
+    # overflows, and their spread does not
+    cx, cy = (v.min() + 0.5 * (v.max() - v.min()) for v in (x, y))
     dx, dy = x - cx, y - cy
     r = np.sqrt(dx * dx + dy * dy)
     p = int(np.argmax(r))
@@ -298,8 +308,8 @@ def _farthest_pair(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
     dx, dy = x - x[p], y - y[p]
     far = math.sqrt(float((dx * dx + dy * dy).max()))
     # |x_i - x_j| <= r_i + radius, so both ends of any pair at least `far`
-    # apart lie at least far - radius from the centroid; the slack covers
-    # rounding in r, far and the centroid
+    # apart lie at least far - radius from the centre; the slack covers
+    # rounding in r, far and the centre
     slack = 1e-9 * (far + radius + abs(cx) + abs(cy))
     keep = np.flatnonzero(r >= far - radius - slack)
     xs, ys = x[keep], y[keep]
@@ -320,12 +330,17 @@ def _farthest_pair(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
     return pair
 
 
-def _log_column(x: np.ndarray, y: np.ndarray, c: int) -> np.ndarray:
-    """Log distances from candidate ``c`` to every candidate, -inf at ``c``
-    itself and at any duplicate of it."""
-    dx, dy = x - x[c], y - y[c]
-    with np.errstate(divide="ignore"):
-        return 0.5 * np.log(dx * dx + dy * dy)
+def _write_log_row(x: np.ndarray, y: np.ndarray, c: int, out: np.ndarray) -> None:
+    """Write the log distances from candidate ``c`` to every candidate into
+    ``out``, -inf at ``c`` itself and at any duplicate of it: the ufuncs of
+    ``0.5 * np.log(dx * dx + dy * dy)`` in place, so the bits are the same."""
+    np.subtract(x, x[c], out=out)
+    out *= out
+    dy = y - y[c]
+    dy *= dy
+    out += dy
+    np.log(out, out=out)
+    out *= 0.5
 
 
 def fekete_capacity(s, n: int) -> EnergyReport:
@@ -337,10 +352,11 @@ def fekete_capacity(s, n: int) -> EnergyReport:
     The capacity estimate is ``exp(mean pairwise log distance)``, i.e. the
     n-point diameter of the selected configuration.
 
-    Memory is O(m n): only the log-distance columns of the ``n`` selected
-    points are held, and the starting farthest pair is found by a blocked
-    scan of the candidates that can belong to it.  A configuration that
-    must repeat a point, from fewer than ``n`` distinct candidates, raises.
+    Memory is O(m n): an n x m row block of the selected points' log
+    distances, one m x n copy and an n x m scratch block; the starting
+    farthest pair is found by a blocked scan of the candidates that can
+    belong to it.  A configuration that must repeat a point, from fewer
+    than ``n`` distinct candidates, raises.
     """
     if n < 3:
         raise PreconditionError("need at least n = 3 configuration points")
@@ -355,49 +371,57 @@ def fekete_capacity(s, n: int) -> EnergyReport:
     x, y = cand.T.copy()
 
     # greedy: start from the farthest pair, then add the point with the
-    # largest log-distance sum to the current selection.  cols[:, k] holds
-    # the log distances to the k-th selected point.
+    # largest log-distance sum to the current selection.  rows[k] holds the
+    # log distances from the k-th selected point to every candidate.
     i0, j0 = _farthest_pair(x, y)
-    cols = np.empty((m, n))
-    cols[:, 0] = _log_column(x, y, i0)
-    cols[:, 1] = _log_column(x, y, j0)
-    selected = [i0, j0]
-    score = cols[:, 0] + cols[:, 1]
-    score[selected] = -np.inf
-    while len(selected) < n:
-        nxt = int(np.argmax(score))
-        col = _log_column(x, y, nxt)
-        cols[:, len(selected)] = col
-        score += col
-        selected.append(nxt)
-        score[nxt] = -np.inf
+    rows = np.empty((n, m))
+    with np.errstate(divide="ignore"):
+        _write_log_row(x, y, i0, rows[0])
+        _write_log_row(x, y, j0, rows[1])
+        selected = [i0, j0]
+        score = rows[0] + rows[1]
+        score[selected] = -np.inf
+        while len(selected) < n:
+            nxt = int(np.argmax(score))
+            _write_log_row(x, y, nxt, rows[len(selected)])
+            score += rows[len(selected)]
+            selected.append(nxt)
+            score[nxt] = -np.inf
 
-    sel = np.array(selected)
-    colsum = cols.sum(axis=1)  # per candidate, sum over selected
-    pair = cols[sel]
-    rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
-
-    swaps = 0
-    converged = False
-    for _ in range(_FEKETE_MAX_PASSES):
-        # delta[j, c]: gain from replacing selected j by candidate c; -inf
-        # log distances (duplicate positions) can only lose, so any NaN from
-        # inf arithmetic means "never pick this swap"
-        with np.errstate(invalid="ignore"):
-            delta = colsum[None, :] - cols.T
-            delta -= rowsum[:, None]
-        delta[~np.isfinite(delta)] = -np.inf
-        delta[:, sel] = -np.inf
-        j, c = np.unravel_index(np.argmax(delta), delta.shape)
-        if not (delta[j, c] > 1e-12):
-            converged = True
-            break
-        sel[j] = c
-        swaps += 1
-        cols[:, j] = _log_column(x, y, c)
+        sel = np.array(selected)
+        cols = rows.T.copy()  # cols[c, k] = rows[k, c], summed per candidate
         colsum = cols.sum(axis=1)
         pair = cols[sel]
         rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
+        # log distances are finite or -inf (a zero squared distance), so
+        # colsum is -inf exactly at candidates coinciding with a selected
+        # point; their gains stay -inf with the -inf of rows zeroed, and no
+        # other gain changes
+        rows[rows == -np.inf] = 0.0
+        part = np.empty((n, m))
+
+        swaps = 0
+        converged = False
+        for _ in range(_FEKETE_MAX_PASSES):
+            # the gain of replacing selected j by candidate c is (colsum[c] -
+            # rows[j, c]) - rowsum[j]; rounding is monotone, so row j's largest
+            # gain is max(part[j]) - rowsum[j], and only the first row attaining
+            # the overall largest needs its gains, for the first c attaining it
+            np.subtract(colsum, rows, out=part)
+            gain = part.max(axis=1) - rowsum
+            j = int(np.argmax(gain))
+            c = int(np.argmax(part[j] - rowsum[j]))
+            if not (gain[j] > 1e-12):
+                converged = True
+                break
+            sel[j] = c
+            swaps += 1
+            _write_log_row(x, y, c, rows[j])
+            cols[:, j] = rows[j]
+            rows[j][rows[j] == -np.inf] = 0.0
+            colsum = cols.sum(axis=1)
+            pair = cols[sel]
+            rowsum = np.where(np.isfinite(pair), pair, 0.0).sum(axis=1)
 
     # a -inf off the diagonal is a coincident pair: greedy and exchanges
     # repeat a point only when no distinct candidate is left, or when two

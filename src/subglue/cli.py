@@ -281,6 +281,8 @@ def _capacity(job: _Run):
     mode = value("mode")
     if mode not in ("fekete", "equilibrium"):
         raise ConfigValueError(f"unknown capacity mode {mode!r}")
+    if value("support") and value("circle"):
+        raise ConfigValueError("capacity takes key 'support' or key 'circle', not both")
     if value("support"):
         points = job.scene.node_set(value("support")).points()
     elif value("circle"):

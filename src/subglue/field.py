@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PreconditionError, _require_memory
 from .extreal import ExtReal
@@ -710,6 +709,7 @@ def neighbour_max(v: ScalarField, from_set: NodeSet) -> np.ndarray:
     src = np.where(from_set.mask[box], v.values[box], -np.inf)
     ring = _moore_structure(v.domain.dim)
     ring[(1,) * v.domain.dim] = False
+    from scipy import ndimage
     out[box] = ndimage.maximum_filter(src, footprint=ring, mode="constant", cval=-np.inf)
     return out
 

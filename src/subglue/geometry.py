@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PreconditionError
 
@@ -33,6 +32,15 @@ __all__ = [
     "dist_to_complement",
     "inversion",
 ]
+
+
+# scipy.ndimage is imported by each caller on first use, so that importing
+# subglue loads no scipy; ``geometry.ndimage`` still names the module
+def __getattr__(name):
+    if name == "ndimage":
+        from scipy import ndimage
+        return ndimage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,7 @@ def _moore_structure(d: int) -> np.ndarray:
 
 
 def _axis_structure(d: int) -> np.ndarray:
+    from scipy import ndimage
     return ndimage.generate_binary_structure(d, 1)
 
 
@@ -178,6 +187,7 @@ def _moore_labels(mask: np.ndarray):
     """``(labels, box, count)``: the Moore-connected components of the mask
     labelled on its bounding box ``box``, and how many there are; ``(None,
     None, 0)`` for an empty mask."""
+    from scipy import ndimage
     box = _bounding_box(mask)
     if box is None:
         return None, None, 0
@@ -307,6 +317,7 @@ class NodeSet:
         (0 on members), read-only.  Computed once per node set: the mask and
         the lattice are frozen, so every parallel set of this set thresholds
         the same field."""
+        from scipy import ndimage
         if self.is_empty():
             raise PreconditionError("distance to an empty node set")
         dom = self.domain
@@ -371,6 +382,7 @@ class NodeSet:
         out = np.zeros(self.domain.shape, dtype=bool)
         box = _bounding_box(self.mask, grow=1)
         if box is not None:
+            from scipy import ndimage
             out[box] = ndimage.binary_dilation(self.mask[box], struct)
         return NodeSet(self.domain, out)
 

@@ -431,6 +431,26 @@ def test_fekete_needs_n_distinct_candidates():
     assert rep.capacity == pytest.approx(fekete_capacity(roots_of_unity(4), 4).capacity)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_points_whose_squared_distances_overflow_are_rejected():
+    circle = roots_of_unity(64)
+    with pytest.raises(PreconditionError, match="squared distances of the"):
+        fekete_capacity(circle * 1e155, 8)
+    with pytest.raises(PreconditionError, match="squared distances of the"):
+        equilibrium_weights(circle[:16] * 1e155, 2)
+    # a spread of 2e308 overflows before it is squared
+    wide = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(PreconditionError, match="squared distances of the"):
+        fekete_capacity(wide, 3)
+    # squared distances near 4e300 still fit
+    rep = fekete_capacity(circle * 1e150, 8)
+    assert rep.capacity == pytest.approx(1.3459e150, rel=1e-4)
+    # coordinates near the float limit with no spread coincide; their mean
+    # would overflow, their bounding-box centre does not
+    with pytest.raises(PreconditionError, match="only 1 distinct candidate points for n = 4"):
+        fekete_capacity(np.full((64, 2), 1e307), 4)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_points_are_rejected(bad):
     pts = roots_of_unity(16)
@@ -503,6 +523,14 @@ def dense_fekete(cand, n, max_passes=200):
     return energy, math.exp(energy), swaps, converged, cand[sel]
 
 
+def lattice_disk(nodes):
+    """The nodes of the ``nodes`` x ``nodes`` lattice on [-1, 1]^2 inside the
+    open unit disk."""
+    axis = np.linspace(-1.0, 1.0, nodes)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return pts[np.sum(pts * pts, axis=1) < 1.0]
+
+
 def _fekete_cases():
     rng = np.random.default_rng(41)
     for k in range(4):
@@ -524,6 +552,18 @@ def _fekete_cases():
     # every candidate lies on the farthest-pair ring, so none is pruned
     yield "circle", roots_of_unity(512), 64
     yield "half-circle", roots_of_unity(512)[:256], 16
+    # several exchange passes at the benchmark size: the 3,205-point lattice
+    # disk, as it is and rotated, scaled and shifted
+    disk = lattice_disk(65)
+    yield "lattice-disk", disk, 32
+    c, s = math.cos(0.7), math.sin(0.7)
+    yield "lattice-disk-moved", 1.3 * disk @ np.array([[c, -s], [s, c]]).T + [0.4, -0.2], 32
+    # squared distances near 4e300, short of overflow
+    yield "circle-1e150", roots_of_unity(64, 1e150), 8
+    # every candidate twice, so duplicates of the selected points stay
+    # candidates through the exchanges
+    small = lattice_disk(17)
+    yield "duplicated-lattice", np.vstack([small, small[::-1]]), 16
 
 
 FEKETE_CASES = list(_fekete_cases())
@@ -559,9 +599,20 @@ def test_kernel_matrix_is_bit_identical_to_difference_array():
         assert np.array_equal(_kernel_matrix(pts, dim), dense_kernel_matrix(pts, dim))
 
 
+def test_fekete_lattice_cases_take_several_exchanges():
+    # the bit-identity cases above that exercise the exchange passes
+    swaps = {
+        name: fekete_capacity(cand, n).iterations
+        for name, cand, n in FEKETE_CASES
+        if name in ("lattice-disk", "lattice-disk-moved", "duplicated-lattice")
+    }
+    assert min(swaps.values()) >= 2, swaps
+
+
 def test_fekete_lattice_disk_memory_is_linear():
     # ~20k candidates: the dense search's m x m x 2 difference array alone
-    # took 6.4 GB; the column block is 20k x 32 doubles (5 MB)
+    # took 6.4 GB; a block of 20k x 32 doubles takes 5 MB, and the search
+    # holds the n x m row block, its m x n copy and an n x m scratch block
     g = np.arange(-80, 81) / 80.0
     grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     disk = grid[np.sum(grid * grid, axis=1) < 1.0]
@@ -572,7 +623,7 @@ def test_fekete_lattice_disk_memory_is_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 4 * 8 * disk.shape[0] * 32
     assert rep.converged
     assert rep.capacity == pytest.approx(32.0 ** (1.0 / 31.0), rel=0.01)
 

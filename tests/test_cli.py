@@ -465,6 +465,57 @@ def test_capacity_of_coincident_circle_points_exits_precondition(tmp_path):
     assert report["error"]["message"] == "only 1 distinct candidate points for n = 8"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["fekete", "equilibrium"])
+def test_capacity_of_an_overflowing_circle_exits_precondition(tmp_path, capsys, mode):
+    # squared distances of about 4e400 overflow to inf
+    text = CAPACITY_CIRCLE.replace("circle 0 0 1 64", "circle 0 0 1e200 64")
+    cfg = write_cfg(tmp_path, text.replace("mode fekete", f"mode {mode}"))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    what = "candidate" if mode == "fekete" else "support"
+    assert report["error"]["message"] == f"squared distances of the {what} points overflow"
+
+
+def test_capacity_with_support_and_circle_exits_config_status(tmp_path, capsys):
+    import pathlib
+
+    # the 33 x 33 unit-disk scene given a circle of radius 5 as well: neither
+    # key may silently win
+    root = pathlib.Path(__file__).parent.parent
+    text = (root / "demos" / "scene_configs" / "equilibrium_disk.cfg").read_text()
+    text = text.replace("  support D\n", "  support D\n  circle 0 0 5 64\n")
+    assert "circle 0 0 5 64" in text
+    cfg = write_cfg(tmp_path, text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "key 'support' or key 'circle', not both" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy(tmp_path):
+    import pathlib
+
+    root = pathlib.Path(__file__).parent.parent
+    cfg = root / "demos" / "scene_configs" / "equilibrium_disk.cfg"
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    script = f"""
+import sys
+import subglue
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import"
+from subglue.cli import main
+assert main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, "--quiet"]) == 0
+assert "scipy.ndimage" not in sys.modules, "equilibrium run"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 HUGE_GRID = """
 grid {
   origin -1 -1
