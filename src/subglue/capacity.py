@@ -363,10 +363,10 @@ def fekete_capacity(s, n: int) -> EnergyReport:
     cand = _candidate_points(s)
     if cand.shape[1] != 2:
         raise PreconditionError("candidate points must be planar")
-    _require_finite(cand, "candidate")
     m = cand.shape[0]
     if m < n:
         raise PreconditionError(f"only {m} candidate points for n = {n}")
+    _require_finite(cand, "candidate")
     _require_memory(8 * m * n, f"a {m} x {n} log-distance block")
     x, y = cand.T.copy()
 

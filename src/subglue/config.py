@@ -40,6 +40,7 @@ raw tokens; ``SceneConfig.value`` returns the converted value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ConfigNameError, ConfigSyntaxError, ConfigValueError
@@ -154,8 +155,14 @@ def _convert(cfg: SceneConfig, key: str, raw):
     if kind == "circle":
         if len(tokens) != 4:
             raise ConfigValueError(f"key {key!r} takes cx cy radius count")
-        *centre_radius, count = tokens
-        return (*(_key_number(key, t) for t in centre_radius), _key_number(key, count, True))
+        cx, cy, radius = (_key_number(key, t) for t in tokens[:3])
+        count = _key_number(key, tokens[3], True)
+        # radius 0 is a degenerate circle, one point sampled count times
+        if not (math.isfinite(radius) and radius >= 0):
+            raise ConfigValueError(f"key {key!r} radius must be finite and not negative")
+        if count < 1:
+            raise ConfigValueError(f"key {key!r} count must be at least 1")
+        return (cx, cy, radius, count)
     if len(tokens) != 1:
         raise ConfigValueError(f"key {key!r} takes one value, got {' '.join(tokens)!r}")
     (tok,) = tokens
@@ -314,8 +321,11 @@ def parse_config(text: str) -> SceneConfig:
                 raise ConfigSyntaxError("spacing takes one value", srow[0][0], srow[0][1])
             spacing = _token_number(srow[1])
             shape = tuple(_token_number(t, int) for t in entries["shape"][1:])
-            if spacing <= 0:
-                raise ConfigValueError(f"line {srow[0][0]}: spacing must be positive")
+            if not (math.isfinite(spacing) and spacing > 0):
+                raise ConfigValueError(f"line {srow[0][0]}: spacing must be positive and finite")
+            if not all(math.isfinite(x) for x in origin):
+                orow = entries["origin"][0]
+                raise ConfigValueError(f"line {orow[0]}: origin must be finite")
             if len(origin) != len(shape) or not shape:
                 raise ConfigValueError(f"line {line}: origin and shape dimensions differ")
             if any(n < 2 for n in shape):

@@ -148,10 +148,12 @@ class ScalarField:
         if values.shape != domain.shape:
             raise PreconditionError("value array shape does not match grid")
         vals = np.where(domain.mask, values, np.nan)
-        active_vals = values[domain.mask]
-        if np.any(np.isnan(active_vals)):
+        # one masked reduction: a NaN propagates through the max, so a NaN is
+        # reported even where +inf occurs too
+        top = values.max(where=domain.mask, initial=-np.inf)
+        if np.isnan(top):
             raise PreconditionError("NaN value on an active node")
-        if np.any(active_vals == np.inf):
+        if top == np.inf:
             raise PreconditionError("+inf is not an allowed field value")
         self.domain = domain
         self.values = vals

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import PreconditionError
 from .field import (
     ScalarField,
-    VerificationReport,
     check,
     check_on,
     is_harmonic,
@@ -167,11 +166,33 @@ def _one_sided_violation(lhs, rhs) -> np.ndarray:
     return np.clip(diff, 0.0, np.inf)
 
 
-def _equality_violation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(a - b)
-    both = (a == -np.inf) & (b == -np.inf)
-    return np.where(both, 0.0, diff)
+def _bound(name, tag, lhs, rhs, mask, tol, kind="conclusion", count=None, **details):
+    """Report ``lhs <= rhs`` on ``mask``: each side is a lattice array, read
+    on the mask, or a scalar.  ``count`` names the detail that records the
+    mask's node count."""
+    lhs, rhs = (side[mask] if np.ndim(side) else side for side in (lhs, rhs))
+    if count is not None:
+        details[count] = int(mask.sum())
+    return check_on(name, tag, _one_sided_violation(lhs, rhs), mask, tol, kind, **details)
+
+
+def _equal(name, tag, a, b, mask, tol=0.0, kind="conclusion", count="region_nodes"):
+    """Report ``a == b`` on ``mask`` for two lattice arrays: the larger of the
+    two one-sided violations, which is ``|a - b|`` with -inf equal to -inf.
+    At the default ``tol`` of 0 it fails exactly when the values differ."""
+    a, b = a[mask], b[mask]
+    violation = np.maximum(_one_sided_violation(a, b), _one_sided_violation(b, a))
+    return check_on(name, tag, violation, mask, tol, kind, **{count: int(mask.sum())})
+
+
+def _max_glue(domain, first, first_mask, second, second_mask) -> ScalarField:
+    """The field on ``first_mask | second_mask`` over ``domain``'s lattice:
+    ``first`` where only it lives, ``second`` where only it lives and
+    ``np.maximum(first, second)`` on the overlap.  The operand order decides
+    which zero a tie of +0.0 and -0.0 keeps."""
+    vals = np.where(first_mask, first, second)
+    np.maximum(first, second, out=vals, where=first_mask & second_mask)
+    return ScalarField(domain.with_mask(first_mask | second_mask), vals)
 
 
 def _overlap_interfaces(v: ScalarField, v0: ScalarField) -> tuple:
@@ -194,13 +215,6 @@ def _stage(name: str):
         yield
     except PreconditionError as exc:
         raise PreconditionError(f"{name} stage: {exc}", tag=exc.tag) from exc
-
-
-def _region_identity_report(name, tag, glued, source, mask) -> VerificationReport:
-    """Bit-exact equality of the glued field with a source on a region: the
-    values differ somewhere exactly when the largest difference is positive."""
-    viol = _equality_violation(glued.values[mask], source.values[mask])
-    return check_on(name, tag, viol, mask, 0.0, region_nodes=int(mask.sum()))
 
 
 def _pole_slope_report(name, tag, glued, green, region_mask, target):
@@ -231,23 +245,21 @@ def _core_conclusions(glued, core_mask, green, scale, tag, phrase, harmonic_tol)
     (``tag + "o"``)."""
     core_mask = core_mask & ~green.pole_set().mask
     harmonic_tol = 10.0 * glued.spacing if harmonic_tol is None else harmonic_tol
-    core_vals = glued.values[core_mask]
     reports = [
         is_harmonic(
             glued, NodeSet(glued.domain, core_mask), harmonic_tol,
             name=f"glued field harmonic on the {phrase} off the pole", tag=tag + "h",
         ),
-        check_on(
-            f"glued field nonnegative on the {phrase}", tag + "+",
-            np.maximum(0.0, -core_vals), core_mask, _POSITIVITY_TOL,
-            core_nodes=int(core_vals.size),
+        _bound(
+            f"glued field nonnegative on the {phrase}", tag + "+", 0.0, glued.values,
+            core_mask, _POSITIVITY_TOL, count="core_nodes",
         ),
     ]
     if scale == 0.0:
         reports.append(
             check_on(
                 "zero scale collapses the core to zero", tag + "o",
-                np.abs(core_vals), core_mask, 0.0,
+                np.abs(glued.values[core_mask]), core_mask, 0.0,
             )
         )
     else:
@@ -284,36 +296,27 @@ def glue_basic(
     inner = u0.domain.active_set()
     interface = o_mask & inner.adjacent().mask
     limsup_u0 = neighbour_max(u0, inner)
-    violation = _equality_violation(limsup_u0[interface], u.values[interface])
     reports = [
-        check_on(
+        _equal(
             "interface matching: limsup of inner field equals outer field", "1.1",
-            violation, interface, tol, "hypothesis", interface_nodes=int(interface.sum()),
+            limsup_u0, u.values, interface, tol, "hypothesis", "interface_nodes",
         )
     ]
 
-    vals = u.values.copy()
-    with np.errstate(invalid="ignore"):
-        vals[o0_mask] = np.maximum(u.values[o0_mask], u0.values[o0_mask])
-    glued = ScalarField(u.domain, vals)
+    glued = _max_glue(u.domain, u.values, o_mask, u0.values, o0_mask)
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
-    reports.append(
-        is_subharmonic(glued, cert_tol, name="glued field subharmonic", tag="1.2")
-    )
-    reports.append(
-        _region_identity_report(
-            "glued field equals outer field off the inner set", "1.2=", glued, u,
-            o_mask & ~o0_mask,
-        )
-    )
-    dom_viol = _one_sided_violation(u.values[o_mask], glued.values[o_mask])
-    reports.append(
-        check_on(
-            "glued field dominates the outer field", "1.2>=", dom_viol, o_mask, 0.0,
-            interface_nodes=int(o_mask.sum()),
-        )
-    )
+    reports += [
+        is_subharmonic(glued, cert_tol, name="glued field subharmonic", tag="1.2"),
+        _equal(
+            "glued field equals outer field off the inner set", "1.2=",
+            glued.values, u.values, o_mask & ~o0_mask,
+        ),
+        _bound(
+            "glued field dominates the outer field", "1.2>=", u.values, glued.values,
+            o_mask, 0.0, count="interface_nodes",
+        ),
+    ]
     return GlueResult(field=glued, reports=reports)
 
 
@@ -328,7 +331,6 @@ def glue_two(
     lives, ``v`` where only it lives, and their max on the overlap.
     """
     overlap_set, iface0, iface1 = _overlap_interfaces(v, v0)
-    overlap = overlap_set.mask
     o_mask = v.domain.mask
     o0_mask = v0.domain.mask
     only0 = o0_mask & ~o_mask
@@ -338,15 +340,13 @@ def glue_two(
     limsup_v0 = neighbour_max(v0, overlap_set)
 
     reports = [
-        check_on(
+        _bound(
             "outer-field limsup below inner field at the inner edge", "3.1_0",
-            _one_sided_violation(limsup_v[iface0], v0.values[iface0]), iface0, tol,
-            "hypothesis", interface_nodes=int(iface0.sum()),
+            limsup_v, v0.values, iface0, tol, "hypothesis", "interface_nodes",
         ),
-        check_on(
+        _bound(
             "inner-field limsup below outer field at the outer edge", "3.1_1",
-            _one_sided_violation(limsup_v0[iface1], v.values[iface1]), iface1, tol,
-            "hypothesis", interface_nodes=int(iface1.sum()),
+            limsup_v0, v.values, iface1, tol, "hypothesis", "interface_nodes",
         ),
     ]
 
@@ -368,31 +368,20 @@ def glue_two(
         )
     )
 
-    union = o_mask | o0_mask
-    vals = np.zeros(v.domain.shape)
-    vals[only0] = v0.values[only0]
-    vals[only1] = v.values[only1]
-    with np.errstate(invalid="ignore"):
-        vals[overlap] = np.maximum(v.values[overlap], v0.values[overlap])
-    glued_domain = v.domain.with_mask(union)
-    glued = ScalarField(glued_domain, vals)
+    glued = _max_glue(v.domain, v.values, o_mask, v0.values, o0_mask)
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
-    reports.append(
-        is_subharmonic(glued, cert_tol, name="glued field subharmonic", tag="3.2")
-    )
-    reports.append(
-        _region_identity_report(
-            "glued field equals the outer field off the inner domain",
-            "3.2=", glued, v, only1,
-        )
-    )
-    reports.append(
-        _region_identity_report(
-            "glued field equals the inner field off the outer domain",
-            "3.2=0", glued, v0, only0,
-        )
-    )
+    reports += [
+        is_subharmonic(glued, cert_tol, name="glued field subharmonic", tag="3.2"),
+        _equal(
+            "glued field equals the outer field off the inner domain", "3.2=",
+            glued.values, v.values, only1,
+        ),
+        _equal(
+            "glued field equals the inner field off the outer domain", "3.2=0",
+            glued.values, v0.values, only0,
+        ),
+    ]
     return GlueResult(field=glued, reports=reports)
 
 
@@ -436,26 +425,19 @@ def glue_quantitative(
     grid nodes.
     """
     overlap_set, iface0, iface1 = _overlap_interfaces(v, g)
-    reports = []
-
-    # lower bound on v at the outer side of the inner edge
-    reports.append(
-        check_on(
-            "lower constant below the outer field at the inner edge", "3.3m",
-            _one_sided_violation(c.m_v, v.values[iface1]), iface1, tol,
-            "hypothesis", interface_nodes=int(iface1.sum()),
-        )
-    )
-
-    # upper bound on the limsup of v at the inner side of the outer edge
     limsup_v = neighbour_max(v, overlap_set)
-    reports.append(
-        check_on(
+    reports = [
+        # lower bound on v at the outer side of the inner edge
+        _bound(
+            "lower constant below the outer field at the inner edge", "3.3m",
+            c.m_v, v.values, iface1, tol, "hypothesis", "interface_nodes",
+        ),
+        # upper bound on the limsup of v at the inner side of the outer edge
+        _bound(
             "outer-field limsup below the upper constant at the outer edge", "3.3M",
-            _one_sided_violation(limsup_v[iface0], c.M_v), iface0, tol,
-            "hypothesis", interface_nodes=int(iface0.sum()),
-        )
-    )
+            limsup_v, c.M_v, iface0, tol, "hypothesis", "interface_nodes",
+        ),
+    ]
 
     # reference chain: limsup g <= m_g on one side, M_g <= g on the other
     # (the two interfaces are disjoint)
@@ -478,21 +460,17 @@ def glue_quantitative(
 
     # replay the two displayed inequality chains at grid nodes
     plus = c.plus_part
-    reports.append(
-        check_on(
+    reports += [
+        _bound(
             "chain replay: inner field dominates the combined constant at the outer edge",
-            "3.4.outer", _one_sided_violation(plus, v0.values[iface0]), iface0, tol,
-            interface_nodes=int(iface0.sum()),
-        )
-    )
-    limsup_v0 = neighbour_max(v0, overlap_set)
-    reports.append(
-        check_on(
+            "3.4.outer", plus, v0.values, iface0, tol, count="interface_nodes",
+        ),
+        _bound(
             "chain replay: inner-field limsup below the negated constant at the inner edge",
-            "3.4.inner", _one_sided_violation(limsup_v0[iface1], -plus), iface1, tol,
-            interface_nodes=int(iface1.sum()),
-        )
-    )
+            "3.4.inner", neighbour_max(v0, overlap_set), -plus, iface1, tol,
+            count="interface_nodes",
+        ),
+    ]
 
     return GlueResult(field=inner.field, reports=reports, constants=c)
 
@@ -548,7 +526,7 @@ def glue_green(
     harmonic (``"4.5h"``) and nonnegative (``"4.5+"``) on the core, and has
     pole slope ``2 * scale`` against the kernel profile (``"4.5o"``).
     """
-    params, o_mask, ambient = _green_preamble(v, s0, o, params, s.domain, d_domain)
+    params, o_mask, _ = _green_preamble(v, s0, o, params, s.domain, d_domain)
     lattice = v.domain
 
     # inclusion chain: o in Int s0, s0 compactly inside s, s inside ambient
@@ -593,34 +571,23 @@ def glue_green(
     green = green_function(d_domain, o, params)
     big_m = green_min_constant(green, s0)
     constants = GlueConstants(M_v=M_v, m_v=m_v, M_g=big_m, m_g=0.0)
-    scale = constants.scale
     v0_vals = quantitative_v0(green.field, constants).values
 
-    vals = np.zeros(lattice.shape)
-    outer = o_mask & ~s.mask
-    vals[outer] = v.values[outer]
-    with np.errstate(invalid="ignore"):
-        vals[shell] = np.maximum(v0_vals[shell], v.values[shell])
-    vals[s0.mask] = v0_vals[s0.mask]
-    glued = ScalarField(ambient, vals)
+    # s0 lies inside s and off v's domain, so v0 alone fills the core
+    glued = _max_glue(lattice, v0_vals, s.mask, v.values, lattice.mask)
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
-    reports.append(
+    reports += [
         is_subharmonic(
             glued, cert_tol, exclude=green.pole_set(),
             name="glued field subharmonic off the pole", tag="4.5",
-        )
-    )
-    reports.append(
-        _region_identity_report(
-            "glued field equals the outer field off the intermediate set",
-            "4.5=", glued, v, outer,
-        )
-    )
-    reports.extend(
-        _core_conclusions(glued, s0.mask, green, scale, "4.5", "core", harmonic_tol)
-    )
-
+        ),
+        _equal(
+            "glued field equals the outer field off the intermediate set", "4.5=",
+            glued.values, v.values, o_mask & ~s.mask,
+        ),
+        *_core_conclusions(glued, s0.mask, green, constants.scale, "4.5", "core", harmonic_tol),
+    ]
     return GlueResult(
         field=glued,
         reports=reports,
@@ -695,10 +662,9 @@ def glue_full(
 
     collar = p_full.mask & ~s0.mask
     reports = [
-        check_on(
+        _bound(
             "field bounded above on the r-parallel collar", "4.9M",
-            _one_sided_violation(v.values[collar], M_v), collar, tol,
-            "hypothesis", collar_nodes=int(collar.sum()),
+            v.values, M_v, collar, tol, "hypothesis", "collar_nodes",
         )
     ]
 
@@ -719,37 +685,27 @@ def glue_full(
         )
     )
 
-    layer = NodeSet(
-        lattice, (p_full.mask & ~s0.mask) & v.domain.active_set().interior().mask
-    )
+    layer = NodeSet(lattice, collar & lattice.interior_mask())
     with _stage("continuation"):
         if layer.is_empty():
             raise PreconditionError("empty open layer")
         continuation = harmonic_layer_continuation(v, layer, params)
     tilde = continuation.field
 
-    reports.append(
-        check_on(
+    reports += [
+        _bound(
             "continued field dominated from below by the mean constant on the middle shell",
-            "cont.lower", _one_sided_violation(m_v, tilde.values[shell.mask]), shell.mask,
-            tol, shell_nodes=shell.count,
-        )
-    )
-    reports.append(
-        check_on(
+            "cont.lower", m_v, tilde.values, shell.mask, tol, count="shell_nodes",
+        ),
+        _bound(
             "continued field bounded above on the collar", "cont.upper",
-            _one_sided_violation(tilde.values[collar], M_v), collar, tol,
-            collar_nodes=int(collar.sum()),
-        )
-    )
-    v_mask = v.domain.mask
-    reports.append(
-        check_on(
-            "continued field dominates the original", "cont.dom",
-            _one_sided_violation(v.values[v_mask], tilde.values[v_mask]), v_mask, 1e-9,
-            max_engaged=continuation.max_engaged,
-        )
-    )
+            tilde.values, M_v, collar, tol, count="collar_nodes",
+        ),
+        _bound(
+            "continued field dominates the original", "cont.dom", v.values, tilde.values,
+            v.domain.mask, 1e-9, max_engaged=continuation.max_engaged,
+        ),
+    ]
 
     with _stage("regularization"):
         d_domain = regularized_domain(core, r, ambient)
@@ -767,9 +723,9 @@ def glue_full(
         glued, s0.mask, inner.green, inner.constants.scale, "4.11", "original core",
         harmonic_tol,
     )
-    identity = _region_identity_report(
-        "glued field equals the original outside the r-parallel set",
-        "4.11=", glued, v, o_mask & ~p_full.mask,
+    identity = _equal(
+        "glued field equals the original outside the r-parallel set", "4.11=",
+        glued.values, v.values, o_mask & ~p_full.mask,
     )
     reports.extend([harmonic, positive, identity, slope])
 

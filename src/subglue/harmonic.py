@@ -446,16 +446,13 @@ def harmonic_layer_continuation(
     values = np.zeros(v.domain.shape)
     values[ring.mask] = v.values[ring.mask]
     values[layer.mask] = float(ring_vals.mean())
-    residual, iterations = _cg_solve(
-        values, layer.mask.copy(), v.domain.spacing, params
-    )
-    lo, hi = float(ring_vals.min()), float(ring_vals.max())
-    solved = np.clip(values, lo, hi)
+    residual, iterations = _cg_solve(values, layer.mask, v.domain.spacing, params)
+    solved = np.clip(values[layer.mask], ring_vals.min(), ring_vals.max())
+    inside = v.values[layer.mask]
     out = v.values.copy()
     with np.errstate(invalid="ignore"):
-        guarded = np.maximum(solved[layer.mask], v.values[layer.mask])
-    engaged = int(np.sum(v.values[layer.mask] > solved[layer.mask]))
-    out[layer.mask] = guarded
+        out[layer.mask] = np.maximum(solved, inside)
+    engaged = int(np.sum(inside > solved))
     tilde = ScalarField(v.domain, out)
     return ContinuationResult(
         field=tilde, max_engaged=engaged, residual=residual, iterations=iterations

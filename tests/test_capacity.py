@@ -415,6 +415,11 @@ def test_fekete_preconditions():
         fekete_capacity(np.zeros((10, 3)), 4)  # planar only
 
 
+def test_fekete_with_no_candidates_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="only 0 candidate points for n = 3"):
+        fekete_capacity(np.empty((0, 2)), 3)
+
+
 def test_fekete_needs_n_distinct_candidates():
     # a repeated point would have log distance -inf to its copy
     with pytest.raises(PreconditionError, match="only 1 distinct candidate points for n = 4"):

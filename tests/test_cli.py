@@ -456,6 +456,20 @@ def test_verify_on_a_constant_field_reports_an_unsigned_zero_and_no_node(tmp_pat
     assert json.loads(text)["checks"][0]["location"] is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "circle", ["circle 0 0 1 0", "circle 0 0 1 -5", "circle 0 0 -1 64", "circle 0 0 inf 64"]
+)
+def test_capacity_circle_out_of_range_exits_config_status(tmp_path, capsys, circle):
+    # an empty sample, a negative radius and an infinite one are out-of-range
+    # config values, refused before any point is sampled
+    cfg = write_cfg(tmp_path, CAPACITY_CIRCLE.replace("circle 0 0 1 64", circle))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "key 'circle'" in err and "Traceback" not in err
+
+
 def test_capacity_of_coincident_circle_points_exits_precondition(tmp_path):
     # a circle of radius 0 samples one point 64 times
     cfg = write_cfg(tmp_path, CAPACITY_CIRCLE.replace("circle 0 0 1 64", "circle 0 0 0 64"))

@@ -147,6 +147,11 @@ def test_demo_configs_round_trip(path):
         ("glue-full", "domain B", "domain A B", "domain"),
         ("glue-full", "v s", "v s s", "v"),
         ("capacity", "circle 0 0 1.5 64", "circle 0 0 1", "circle"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 0 1.5 0", "circle"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 0 1.5 -5", "circle"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 0 -1.5 64", "circle"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 0 inf 64", "circle"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 0 nan 64", "circle"),
         ("capacity", "mode fekete", "mode a b", "mode"),
         ("capacity", "n 8", "n 4.5", "n"),
     ],
@@ -242,6 +247,20 @@ def test_grid_invariants():
     bad2 = MINIMAL.replace("shape 9 9", "shape 9 1")
     with pytest.raises(ConfigValueError, match=">= 2"):
         parse_config(bad2)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("spacing 0.25", "spacing nan", 4),
+        ("spacing 0.25", "spacing inf", 4),
+        ("origin -1 -1", "origin nan -1", 3),
+        ("origin -1 -1", "origin -1 -inf", 3),
+    ],
+)
+def test_non_finite_grid_value_names_its_line(old, new, line):
+    with pytest.raises(ConfigValueError, match=f"^line {line}: .* finite$"):
+        parse_config(MINIMAL.replace(old, new))
 
 
 def test_set_must_start_with_add():

@@ -45,6 +45,17 @@ def test_field_rejects_plus_inf_and_nan():
     nanbad = np.where(dom.mask, np.nan, 0.0)
     with pytest.raises(PreconditionError):
         ScalarField(dom, nanbad)
+    # inactive nodes are never read: NaN or +inf there is accepted
+    for junk in (np.nan, np.inf):
+        field = ScalarField(dom, np.where(dom.mask, 0.0, junk))
+        assert np.all(field.values[dom.mask] == 0.0)
+    # NaN is reported before +inf, wherever each lies
+    both = np.where(dom.mask, 0.0, 1.0)
+    active = np.argwhere(dom.mask)
+    both[tuple(active[0])] = np.inf
+    both[tuple(active[-1])] = np.nan
+    with pytest.raises(PreconditionError, match="NaN value on an active node"):
+        ScalarField(dom, both)
 
 
 def test_minus_inf_set_is_tracked():

@@ -460,3 +460,53 @@ def test_glue_full_continuation_stage_error_is_prefixed():
         glue_full(v, s0, (0, 0), r=0.3, M_v=0.0, tol=1e-9)
     assert str(err.value) == "continuation stage: -inf value on the layer's boundary ring"
     assert err.value.tag is None
+
+
+# ---------------------------------------------------------------------------
+# tied zeros on the overlap
+# ---------------------------------------------------------------------------
+
+
+def _signed_zeros(dom, parity):
+    """+0.0 on the lattice nodes of one checkerboard parity, -0.0 on the
+    others."""
+    even = np.indices(dom.shape).sum(axis=0) % 2 == parity
+    return ScalarField(dom, np.where(even, 0.0, -0.0))
+
+
+def _tied_zero_glue(construction):
+    """A gluing whose two fields tie at zeros of opposite signs on the
+    overlap.  Returns the result, the overlap and the construction's two
+    operands of the max, in its order."""
+    h = 1 / 32
+    if construction == "basic":
+        dom = disk_domain(1.0, h=h)
+        inner = dom.with_mask(dom.mask & (dom.distance2_to((0, 0)) < 0.25))
+        u, u0 = _signed_zeros(dom, 0), _signed_zeros(inner, 1)
+        return glue_basic(u, u0, tol=1e-9), inner.mask, u.values, u0.values
+    if construction == "two":
+        left = rasterize([("add", Ball((-0.3, 0), 0.7))], (-1, -1), h, (65, 65))
+        right = rasterize([("add", Ball((0.3, 0), 0.7))], (-1, -1), h, (65, 65))
+        v, v0 = _signed_zeros(left, 0), _signed_zeros(right, 1)
+        return glue_two(v, v0, tol=1e-9), left.mask & right.mask, v.values, v0.values
+    outer, s0, s, v_dom = _green_scene(1 / 64)
+    v = _signed_zeros(v_dom, 0)
+    d_dom = regularized_domain(s0, 0.3, outer)
+    # zero bounds give a zero scale, so the inner field is +0.0 everywhere
+    res = glue_green(v, s0, s, d_dom, (0, 0), m_v=0.0, M_v=0.0, tol=1e-9)
+    v0 = quantitative_v0(res.green.field, res.constants).values
+    return res, s.mask & ~s0.mask, v0, v.values
+
+
+@pytest.mark.parametrize("construction", ["basic", "two", "green"])
+def test_max_gluing_keeps_the_operand_order_of_tied_zeros(construction):
+    # np.maximum of +0.0 and -0.0 returns one of its operands, which one
+    # depends on the platform; the glued field takes the zero that
+    # np.maximum gives in the construction's operand order, so the zeros
+    # written to field.txt do not depend on how the max is assembled
+    res, overlap, first, second = _tied_zero_glue(construction)
+    glued = res.field.values[overlap]
+    expected = np.maximum(first[overlap], second[overlap])
+    assert overlap.any() and np.all(glued == 0.0)
+    assert np.any(np.signbit(first[overlap]) != np.signbit(second[overlap]))
+    assert np.array_equal(np.signbit(glued), np.signbit(expected))
