@@ -89,12 +89,8 @@ class _Scene:
         if kind == "constant":
             return ScalarField.constant(domain, recipe[1])
         if kind == "kernel":
-            if recipe[1] != domain.dim:
-                raise ConfigValueError("kernel dimension does not match the grid")
             return kernel_field(domain, recipe[1], recipe[2])
         if kind == "affine":
-            if len(recipe[1]) != domain.dim:
-                raise ConfigValueError("affine slope dimension does not match the grid")
             return ScalarField.affine(domain, recipe[1], recipe[2])
         if kind == "max":
             a = self.field(recipe[1], domain)
@@ -414,13 +410,20 @@ def main(argv=None) -> int:
                         help="recorded in the report; the runner itself uses no randomness")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
+    if args.tol is not None and math.isnan(args.tol):
+        parser.error("argument --tol: NaN is not a tolerance")
 
     command = "?"
     try:
         with open(args.config) as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"subglue: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"subglue: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         cfg = parse_config(text)

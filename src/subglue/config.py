@@ -26,33 +26,55 @@ command.  Example::
 Blocks open with ``{`` at the end of their header line and close with ``}``
 on a line of their own; each block line is one entry (a key followed by its
 values); ``#`` starts a comment.  Set recipes are applied in order starting
-from the empty set; ``add set NAME`` / ``sub set NAME`` reference previously
-defined sets.  Field primitives: ``constant c``, ``kernel d o1 .. od``,
-``affine a1 .. ad b``, ``max f g``, ``scale f k``, ``offset f b``,
-``file path``.
-
-The command block names a command of :data:`COMMAND_KEYS`, the one table
-of the keys each command takes and the kind of each value.  ``parse_config``
-converts every value by its kind, so a malformed value is a config error
-even for a key the command does not read.  ``SceneConfig.params`` keeps the
-raw tokens; ``SceneConfig.value`` returns the converted value.
+from the empty set.  Four tables are the grammar: :data:`GRID_KEYS`,
+:data:`SHAPES`, :data:`FIELD_PRIMITIVES` and :data:`COMMAND_KEYS` name each
+entry's key and the kinds of its values, and ``parse_config`` converts every
+entry by them through one converter, so a malformed value is a config error
+even in a field or key the command does not use.  The grid block is read
+first: its origin gives the dimension.  ``SceneConfig.params`` keeps the
+command's raw tokens; ``SceneConfig.value`` returns the converted value.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ConfigNameError, ConfigSyntaxError, ConfigValueError
 
 __all__ = ["SceneConfig", "parse_config", "serialize_config"]
 
-FIELD_PRIMITIVES = ("constant", "kernel", "affine", "max", "scale", "offset", "file")
+# The grammar's tables map an entry's key to the kinds of its values.  Kinds:
+# set / field, the name of an earlier set or field block; num, a number; int,
+# an integer (4.0 counts); dim, the grid's dimension d; point, d finite
+# coordinates; radius / spacing, a positive finite number; sizes, d integers
+# of at least 2; circle, cx cy radius count; word, one token.  A point or
+# sizes takes one token per grid axis and every other kind but circle takes
+# one, so an entry's arity and its dimension are one rule.  NaN is never a
+# value.
+
+# grid key -> the kind of its value, in SceneConfig's order; the origin's
+# length is the grid's dimension
+GRID_KEYS = {"origin": "point", "spacing": "spacing", "shape": "sizes"}
+
+# set entry shape -> the kinds of its values
+SHAPES = {"ball": ("point", "radius"), "box": ("point", "point"), "set": ("set",)}
+
+# field primitive -> the kinds of its values
+FIELD_PRIMITIVES = {
+    "constant": ("num",),
+    "kernel": ("dim", "point"),
+    "affine": ("point", "num"),
+    "max": ("field", "field"),
+    "scale": ("field", "num"),
+    "offset": ("field", "num"),
+    "file": ("word",),
+}
 
 # command -> key -> the kind of its value; a trailing "?" marks an optional
-# key.  Kinds: set / field, the name of a set or field block; num, a number;
-# int, an integer (4.0 counts); point, coordinates; circle, cx cy radius
-# count; word, one token.
+# key.  A command's point takes any number of coordinates: the library checks
+# a pole against the grid.
 COMMAND_KEYS = {
     "verify": {"field": "field", "on": "set", "tol": "num", "exclude": "set?"},
     "green": {
@@ -87,6 +109,8 @@ COMMAND_KEYS = {
 
 COMMANDS = tuple(COMMAND_KEYS)
 
+_PER_AXIS = ("point", "sizes")
+
 
 @dataclass
 class SceneConfig:
@@ -106,147 +130,173 @@ class SceneConfig:
         ``params`` keeps the raw tokens."""
         if key not in self.params:
             return default
-        return _convert(self, key, self.params[key])
+        raw = self.params[key]
+        row = [(None, None, t) for t in (key, *(raw if isinstance(raw, tuple) else (raw,)))]
+        names = {"set": self.sets, "field": self.fields}
+        return _entry(row, COMMAND_KEYS[self.command], "key", None, names)[1]
 
 
 def _tokenize(text: str):
-    """Yield (line_no, column, token) triples; '#' comments stripped."""
+    """Yield each line's (line_no, column, token) triples; '#' comments stripped."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        col = 0
-        tokens = []
-        for tok in line.split():
-            col = line.index(tok, col)
-            tokens.append((line_no, col + 1, tok))
-            col += len(tok)
+        tokens = [(line_no, m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
         if tokens:
             yield tokens
 
 
-def _token_number(token, kind=float):
-    """A ``(line, column, text)`` token read as a ``kind``; a syntax error
-    at the token if it is not one."""
-    line, col, tok = token
+def _number(token, label):
+    """A ``(line, column, text)`` token read as a float: a syntax error at
+    the token if it is not one, or, for a token with no position, a value
+    error naming ``label``."""
+    line, col, text = token
     try:
-        return kind(tok)
+        return float(text)
     except ValueError:
-        what = "a number" if kind is float else "an integer"
-        raise ConfigSyntaxError(f"expected {what}, got {tok!r}", line, col) from None
+        if line:
+            raise ConfigSyntaxError(f"{label} expects a number, got {text!r}", line, col) from None
+        raise ConfigValueError(f"{label} is not a number: {text!r}") from None
 
 
-def _key_number(key, tok, integer=False):
-    try:
-        val = float(tok)
-    except ValueError:
-        raise ConfigValueError(f"key {key!r} is not a number: {tok!r}") from None
-    if not integer:
-        return val
-    if not val.is_integer():
-        raise ConfigValueError(f"key {key!r} is not an integer: {tok!r}")
-    return int(val)
+# kind -> what is wrong with a value that is not of it
+_PROBLEMS = {
+    "num": "is not a number: {text!r}",
+    "int": "is not an integer: {text!r}",
+    "dim": "must be {d}, the grid's dimension",
+    "point": "must be finite",
+    "sizes": "must be integers >= 2",
+    "radius": "must be positive and finite",
+    "spacing": "must be positive and finite",
+    "circle": "takes a finite centre, a finite radius >= 0 and an integer count >= 1",
+}
 
 
-def _convert(cfg: SceneConfig, key: str, raw):
-    """The value of a command key from its raw token or tokens, by its kind."""
-    kind = COMMAND_KEYS[cfg.command][key].rstrip("?")
-    tokens = raw if isinstance(raw, tuple) else (raw,)
-    if kind == "point":
-        return tuple(_key_number(key, t) for t in tokens)
-    if kind == "circle":
-        if len(tokens) != 4:
-            raise ConfigValueError(f"key {key!r} takes cx cy radius count")
-        cx, cy, radius = (_key_number(key, t) for t in tokens[:3])
-        count = _key_number(key, tokens[3], True)
-        # radius 0 is a degenerate circle, one point sampled count times
-        if not (math.isfinite(radius) and radius >= 0):
-            raise ConfigValueError(f"key {key!r} radius must be finite and not negative")
-        if count < 1:
-            raise ConfigValueError(f"key {key!r} count must be at least 1")
-        return (cx, cy, radius, count)
-    if len(tokens) != 1:
-        raise ConfigValueError(f"key {key!r} takes one value, got {' '.join(tokens)!r}")
-    (tok,) = tokens
-    if kind in ("num", "int"):
-        return _key_number(key, tok, integer=kind == "int")
-    if kind != "word" and tok not in (cfg.sets if kind == "set" else cfg.fields):
-        raise ConfigNameError(f"command references unknown {kind} {tok!r}")
-    return tok
+def _value(kind, tokens, label, where, d, names):
+    """The value of ``kind`` read from its tokens, or an error naming
+    ``label`` after ``where``, the line's prefix."""
+    if kind in ("set", "field", "word"):
+        name = tokens[0][2]
+        if kind != "word" and name not in names[kind]:
+            raise ConfigNameError(f"{where}{label} references unknown {kind} {name!r}")
+        return name
+    x = [_number(t, label) for t in tokens]
+    finite = all(map(math.isfinite, x))
+    whole = all(v.is_integer() for v in x)  # False for inf and NaN
+    if kind == "num" and x[0] == x[0]:
+        return x[0]
+    if kind == "int" and whole:
+        return int(x[0])
+    if kind == "dim" and x[0] == d:
+        return d
+    if kind == "point" and finite:
+        return tuple(x)
+    if kind == "sizes" and whole and min(x) >= 2:
+        return tuple(map(int, x))
+    if kind in ("radius", "spacing") and finite and x[0] > 0:
+        return x[0]
+    # a circle of radius 0 is one point sampled count times
+    if kind == "circle" and finite and x[2] >= 0 and x[3].is_integer() and x[3] >= 1:
+        return (*x[:3], int(x[3]))
+    problem = _PROBLEMS[kind].format(text=tokens[0][2], d=d)
+    raise ConfigValueError(f"{where}{label} {problem}")
 
 
-def _parse_set_entry(tokens, sets):
-    (line, col, op) = tokens[0]
-    if op not in ("add", "sub"):
-        raise ConfigSyntaxError(f"set entries start with add/sub, got {op!r}", line, col)
-    if len(tokens) < 2:
-        raise ConfigSyntaxError("set entry is missing its shape", line, col)
-    (line2, col2, kind) = tokens[1]
-    args = tokens[2:]
-    if kind == "ball":
-        if len(args) < 2:
-            raise ConfigSyntaxError("ball needs centre coordinates and a radius", line2, col2)
-        *centre, radius = [_token_number(t) for t in args]
-        if radius <= 0:
-            raise ConfigValueError(f"line {line2}: ball radius must be positive")
-        return (op, "ball", tuple(centre), radius)
-    if kind == "box":
-        vals = [_token_number(t) for t in args]
-        if len(vals) % 2 != 0 or not vals:
-            raise ConfigSyntaxError("box needs lo and hi corner coordinates", line2, col2)
-        d = len(vals) // 2
-        lo, hi = tuple(vals[:d]), tuple(vals[d:])
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise ConfigValueError(f"line {line2}: box must have positive extent")
-        return (op, "box", lo, hi)
-    if kind == "set":
-        if len(args) != 1:
-            raise ConfigSyntaxError("set reference needs exactly one name", line2, col2)
-        (_, _, name) = args[0]
-        if name not in sets:
-            raise ConfigNameError(f"line {line2}: unknown set {name!r}")
-        return (op, "set", name)
-    raise ConfigSyntaxError(f"unknown shape kind {kind!r}", line2, col2)
+def _entry(row, table, what, d, names):
+    """One block line converted by a grammar table.
+
+    ``row`` holds the line's ``(line, column, text)`` tokens, the first the
+    entry's key in ``table``; ``what`` names the block in messages; ``d`` is
+    the grid's dimension, or ``None`` for a point of any length; ``names``
+    maps ``"set"`` and ``"field"`` to the names defined so far.  Returns the
+    key followed by one value per kind.
+    """
+    line, _, key = row[0]
+    where = f"line {line}: " if line else ""
+    if key not in table:
+        raise ConfigNameError(f"{where}{what}: {key!r} is not one of {', '.join(table)}")
+    kinds = table[key]
+    if isinstance(kinds, str):  # a keyed block's entry has one kind
+        head = f"{what} {key!r}"
+        kinds, labels = (kinds.rstrip("?"),), (head,)
+    else:
+        head = f"{what}: {key}"
+        labels = tuple(f"{head} {kind}" for kind in kinds)
+    args = row[1:]
+    widths = [
+        (d or len(args)) if kind in _PER_AXIS else 4 if kind == "circle" else 1
+        for kind in kinds
+    ]
+    n = sum(widths)
+    if len(args) != n:
+        count = "one value" if n == 1 else f"{n} values"
+        grid = f" on a {d}-d grid" if any(kind in _PER_AXIS for kind in kinds) else ""
+        raise ConfigValueError(f"{where}{head} takes {count}{grid}, got {len(args)}")
+    out, at = [key], 0
+    for kind, label, width in zip(kinds, labels, widths):
+        tokens = args[at : at + width]
+        at += width
+        out.append(_value(kind, tokens, label, where, d, names))
+    return tuple(out)
 
 
-def _parse_field_entry(tokens, fields):
-    (line, col, prim) = tokens[0]
-    args = tokens[1:]
-    if prim not in FIELD_PRIMITIVES:
-        raise ConfigNameError(f"line {line}: unknown field primitive {prim!r}")
-    if prim == "constant":
-        if len(args) != 1:
-            raise ConfigSyntaxError("constant takes one value", line, col)
-        return ("constant", _token_number(args[0]))
-    if prim == "kernel":
-        if len(args) < 2:
-            raise ConfigSyntaxError("kernel takes a dimension and pole coordinates", line, col)
-        d = _token_number(args[0], int)
-        pole = tuple(_token_number(t) for t in args[1:])
-        if len(pole) != d:
-            raise ConfigValueError(f"line {line}: kernel pole must have {d} coordinates")
-        return ("kernel", d, pole)
-    if prim == "affine":
-        if len(args) < 2:
-            raise ConfigSyntaxError("affine takes slope coordinates then an offset", line, col)
-        vals = [_token_number(t) for t in args]
-        return ("affine", tuple(vals[:-1]), vals[-1])
-    if prim == "max":
-        if len(args) != 2:
-            raise ConfigSyntaxError("max takes two field names", line, col)
-        for _, _, name in args:
-            if name not in fields:
-                raise ConfigNameError(f"line {line}: unknown field {name!r}")
-        return ("max", args[0][2], args[1][2])
-    if prim in ("scale", "offset"):
-        if len(args) != 2:
-            raise ConfigSyntaxError(f"{prim} takes a field name and a value", line, col)
-        name = args[0][2]
-        if name not in fields:
-            raise ConfigNameError(f"line {line}: unknown field {name!r}")
-        return (prim, name, _token_number(args[1]))
-    # file
-    if len(args) != 1:
-        raise ConfigSyntaxError("file takes one path", line, col)
-    return ("file", args[0][2])
+def _only(blocks, head):
+    """The config's one block of kind ``head``."""
+    found = [block for block in blocks if block[1] == head]
+    if len(found) != 1:
+        at = f"line {found[1][0]}: " if found else ""
+        raise ConfigValueError(f"{at}a config holds exactly one {head} block")
+    return found[0]
+
+
+def _blocks(text: str):
+    """Yield each block as its header line, kind, name (``None`` for the
+    grid) and body lines."""
+    lines = _tokenize(text)
+    for tokens in lines:
+        line, col, head = tokens[0]
+        if head == "}":
+            raise ConfigSyntaxError("unexpected '}'", line, col)
+        if head not in ("grid", "set", "field", "command"):
+            raise ConfigSyntaxError(f"unknown block kind {head!r}", line, col)
+        named = head != "grid"
+        if len(tokens) <= 1 + named or tokens[1 + named][2] != "{":
+            raise ConfigSyntaxError(f"expected '{head}{' NAME' if named else ''} {{'", line, col)
+        name = tokens[1][2] if named else None
+        rest = tokens[2 + named :]
+        if rest:  # a one-line block closes on the same line
+            if rest[-1][2] != "}":
+                raise ConfigSyntaxError("a one-line block must end with '}'", *rest[-1][:2])
+            yield line, head, name, [rest[:-1]] if len(rest) > 1 else []
+            continue
+        body = []
+        for row in lines:
+            if row[0][2] == "}":
+                if len(row) != 1:
+                    raise ConfigSyntaxError("'}' must sit on its own line", *row[1][:2])
+                break
+            body.append(row)
+        else:
+            raise ConfigSyntaxError(f"unclosed block of '{head}'", line, col)
+        yield line, head, name, body
+
+
+def _keyed(body, table, what, line):
+    """A grid or command block's lines by key: each a key of ``table``
+    given once with a value, and every required key present."""
+    rows = {}
+    for row in body:
+        at, col, key = row[0]
+        if key not in table:
+            raise ConfigValueError(f"line {at}: {what} does not take {key!r}")
+        if key in rows:
+            raise ConfigValueError(f"line {at}: duplicate key {key!r}")
+        if len(row) < 2:
+            raise ConfigSyntaxError(f"key {key!r} needs a value", at, col)
+        rows[key] = row
+    missing = [key for key, kind in table.items() if not kind.endswith("?") and key not in rows]
+    if missing:
+        raise ConfigValueError(f"line {line}: {what} is missing keys: {', '.join(missing)}")
+    return rows
 
 
 def parse_config(text: str) -> SceneConfig:
@@ -257,137 +307,43 @@ def parse_config(text: str) -> SceneConfig:
     unresolved names, and :class:`~subglue.errors.ConfigValueError` for
     out-of-range values.
     """
-    grid = None
-    sets: dict = {}
-    fields: dict = {}
-    command = None
-    params: dict = {}
+    blocks = list(_blocks(text))
+    line, _, _, body = _only(blocks, "grid")
+    rows = _keyed(body, GRID_KEYS, "grid", line)
+    d = len(rows["origin"]) - 1
+    grid = [_entry(rows[key], GRID_KEYS, "grid", d, None)[1] for key in GRID_KEYS]
+    line, _, command, body = _only(blocks, "command")
+    if command not in COMMAND_KEYS:
+        raise ConfigNameError(f"line {line}: unknown command {command!r}")
+    params = {
+        key: row[1][2] if len(row) == 2 else tuple(t for _, _, t in row[1:])
+        for key, row in _keyed(body, COMMAND_KEYS[command], f"command {command!r}", line).items()
+    }
 
-    lines = list(_tokenize(text))
-    i = 0
-    while i < len(lines):
-        tokens = lines[i]
-        (line, col, head) = tokens[0]
-        if head == "}":
-            raise ConfigSyntaxError("unexpected '}'", line, col)
-        if head not in ("grid", "set", "field", "command"):
-            raise ConfigSyntaxError(f"unknown block kind {head!r}", line, col)
-        named = head != "grid"
-        brace_at = 2 if named else 1
-        if len(tokens) <= brace_at or tokens[brace_at][2] != "{":
-            raise ConfigSyntaxError(
-                f"expected '{head}{' NAME' if named else ''} {{'", line, col
-            )
-        name = tokens[1][2] if named else None
-
-        # collect the block body; a one-line block closes on the same line
-        body = []
-        rest = tokens[brace_at + 1 :]
-        if rest:
-            if rest[-1][2] != "}":
-                raise ConfigSyntaxError(
-                    "a one-line block must end with '}'", rest[-1][0], rest[-1][1]
-                )
-            if len(rest) > 1:
-                body.append(rest[:-1])
-            i += 1
-        else:
-            i += 1
-            while i < len(lines) and lines[i][0][2] != "}":
-                body.append(lines[i])
-                i += 1
-            if i >= len(lines):
-                raise ConfigSyntaxError(f"unclosed block of '{head}'", line, col)
-            if len(lines[i]) != 1:
-                bad = lines[i][1]
-                raise ConfigSyntaxError("'}' must sit on its own line", bad[0], bad[1])
-            i += 1
-
-        if head == "grid":
-            if grid is not None:
-                raise ConfigValueError(f"line {line}: duplicate grid block")
-            entries = {}
+    names = {"set": {}, "field": {}}
+    for line, head, name, body in blocks:
+        what = f"{head} {name!r}"
+        if head in names and name in names[head]:
+            raise ConfigValueError(f"line {line}: duplicate {what}")
+        if head == "set":
+            ops = []
             for row in body:
-                key = row[0][2]
-                if key in entries:
-                    raise ConfigValueError(f"line {row[0][0]}: duplicate grid key {key!r}")
-                entries[key] = row
-            for key in ("origin", "spacing", "shape"):
-                if key not in entries:
-                    raise ConfigValueError(f"line {line}: grid block needs {key!r}")
-            origin = tuple(_token_number(t) for t in entries["origin"][1:])
-            srow = entries["spacing"]
-            if len(srow) != 2:
-                raise ConfigSyntaxError("spacing takes one value", srow[0][0], srow[0][1])
-            spacing = _token_number(srow[1])
-            shape = tuple(_token_number(t, int) for t in entries["shape"][1:])
-            if not (math.isfinite(spacing) and spacing > 0):
-                raise ConfigValueError(f"line {srow[0][0]}: spacing must be positive and finite")
-            if not all(math.isfinite(x) for x in origin):
-                orow = entries["origin"][0]
-                raise ConfigValueError(f"line {orow[0]}: origin must be finite")
-            if len(origin) != len(shape) or not shape:
-                raise ConfigValueError(f"line {line}: origin and shape dimensions differ")
-            if any(n < 2 for n in shape):
-                raise ConfigValueError(f"line {line}: each shape entry must be >= 2")
-            grid = (origin, spacing, shape)
-        elif head == "set":
-            if name in sets:
-                raise ConfigValueError(f"line {line}: duplicate set {name!r}")
-            ops = [_parse_set_entry(row, sets) for row in body]
-            if not ops:
-                raise ConfigValueError(f"line {line}: set {name!r} has no entries")
-            if ops[0][0] != "add":
-                raise ConfigValueError(f"line {line}: set {name!r} must start with add")
-            sets[name] = tuple(ops)
+                at, col, op = row[0]
+                if op not in ("add", "sub") or len(row) < 2:
+                    raise ConfigSyntaxError("set entries are add or sub and a shape", at, col)
+                entry = _entry(row[1:], SHAPES, what, d, names)
+                if entry[0] == "box" and not all(a < b for a, b in zip(*entry[1:])):
+                    raise ConfigValueError(f"line {at}: {what}: box must have positive extent")
+                ops.append((op, *entry))
+            if not ops or ops[0][0] != "add":
+                raise ConfigValueError(f"line {line}: {what} must start with add")
+            names["set"][name] = tuple(ops)
         elif head == "field":
-            if name in fields:
-                raise ConfigValueError(f"line {line}: duplicate field {name!r}")
             if len(body) != 1:
-                raise ConfigValueError(
-                    f"line {line}: field {name!r} needs exactly one primitive"
-                )
-            fields[name] = _parse_field_entry(body[0], fields)
-        else:  # command
-            if command is not None:
-                raise ConfigValueError(f"line {line}: a config holds exactly one command")
-            if name not in COMMAND_KEYS:
-                raise ConfigNameError(f"line {line}: unknown command {name!r}")
-            command = name
-            for row in body:
-                key = row[0][2]
-                if key not in COMMAND_KEYS[name]:
-                    raise ConfigValueError(
-                        f"line {row[0][0]}: command {name!r} does not take {key!r}"
-                    )
-                if key in params:
-                    raise ConfigValueError(f"line {row[0][0]}: duplicate key {key!r}")
-                vals = [t for _, _, t in row[1:]]
-                if not vals:
-                    raise ConfigSyntaxError(
-                        f"key {key!r} needs a value", row[0][0], row[0][1]
-                    )
-                params[key] = vals[0] if len(vals) == 1 else tuple(vals)
+                raise ConfigValueError(f"line {line}: {what} needs exactly one primitive")
+            names["field"][name] = _entry(body[0], FIELD_PRIMITIVES, what, d, names)
 
-    if grid is None:
-        raise ConfigValueError("config needs a grid block")
-    if command is None:
-        raise ConfigValueError("config needs exactly one command block")
-    missing = {k for k, kind in COMMAND_KEYS[command].items() if not kind.endswith("?")}
-    missing -= set(params)
-    if missing:
-        raise ConfigValueError(
-            f"command {command!r} is missing keys: {', '.join(sorted(missing))}"
-        )
-    d = len(grid[2])
-    for name, ops in sets.items():
-        for op in ops:
-            if op[1] != "set" and len(op[2]) != d:
-                raise ConfigValueError(
-                    f"set {name!r}: {op[1]} of dimension {len(op[2])} on a {d}-d grid"
-                )
-
-    cfg = SceneConfig(*grid, sets, fields, command, params)
+    cfg = SceneConfig(*grid, names["set"], names["field"], command, params)
     for key in params:
         cfg.value(key)  # converts each value and resolves the names it references
     return cfg

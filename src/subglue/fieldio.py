@@ -157,8 +157,15 @@ def write_field(v: ScalarField, path):
 
 
 def read_field(path) -> ScalarField:
-    with open(path) as handle:
-        return field_from_text(handle.read())
+    """The field in a field file; a ``PreconditionError`` naming the path if
+    the file cannot be read as text."""
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise PreconditionError(f"cannot read field file {os.fspath(path)!r}: {reason}") from None
+    return field_from_text(text)
 
 
 def write_points(points: np.ndarray, path):

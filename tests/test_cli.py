@@ -131,6 +131,55 @@ def test_parse_error_exits_two(tmp_path):
     assert main(["--config", str(missing), "--out", str(tmp_path), "--quiet"]) == 2
 
 
+def test_unreadable_inputs_and_output_directory_exit_config_status(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, VERIFY_KERNEL)
+    (tmp_path / "file").write_text("")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "file" / "out"), "--quiet"]) == 2
+    assert "subglue: cannot create output directory: " in capsys.readouterr().err
+    (tmp_path / "latin1.cfg").write_bytes("# r\xe9sum\xe9\n".encode("latin-1") + VERIFY_KERNEL.encode())
+    assert main(["--config", str(tmp_path / "latin1.cfg"), "--out", str(tmp_path / "out")]) == 2
+    assert "subglue: cannot read config: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"dim 2\n\xff\n"], ids=["missing", "not-utf8"])
+def test_unreadable_field_file_exits_precondition(tmp_path, content):
+    cfg = write_cfg(tmp_path, VERIFY_CONCAVE)
+    if content is not None:
+        (tmp_path / "neg.txt").write_bytes(content)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == 3
+    path = str(tmp_path / "neg.txt")
+    assert report["error"]["message"].startswith(f"cannot read field file {path!r}: ")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("tol 4.9", "tol nan"),
+        ("sub ball 0 0 0.1", "sub ball 0 0 nan"),
+        ("add ball 0 0 1", "add box -1 -1 inf 1"),
+        ("field k { kernel 2 0 0 }", "field k { kernel 2 0 0 }\nfield unused { kernel 3 0 0 }"),
+        ("field k { kernel 2 0 0 }", "field k { kernel 2 0 0 }\nfield unused { affine 1 0 }"),
+        ("shape 129 129", "shape 129 129\n  spacng 0.5"),
+    ],
+    ids=["nan-tol", "nan-radius", "inf-corner", "kernel-dim", "affine-dim", "grid-key"],
+)
+def test_bad_config_values_exit_config_status(tmp_path, capsys, old, new):
+    assert old in VERIFY_KERNEL
+    cfg = write_cfg(tmp_path, VERIFY_KERNEL.replace(old, new))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("subglue: config error: ")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_nan_tol_option_exits_config_status(tmp_path):
+    cfg = write_cfg(tmp_path, VERIFY_KERNEL)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--tol", "nan"])
+    assert exc.value.code == 2
+
+
 def test_nonconvergence_exits_internal(tmp_path):
     cfg = write_cfg(
         tmp_path,

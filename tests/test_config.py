@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -154,6 +155,13 @@ def test_demo_configs_round_trip(path):
         ("capacity", "circle 0 0 1.5 64", "circle 0 0 nan 64", "circle"),
         ("capacity", "mode fekete", "mode a b", "mode"),
         ("capacity", "n 8", "n 4.5", "n"),
+        ("glue-full", "tol 1e-3", "tol nan", "tol"),
+        ("glue-full", "M_v -0.7985", "M_v nan", "M_v"),
+        ("glue-full", "rtol 1e-9", "rtol -nan", "rtol"),
+        ("glue-full", "pole 0.1 -0.2", "pole nan 0", "pole"),
+        ("glue-full", "pole 0.1 -0.2", "pole 0 inf", "pole"),
+        ("capacity", "circle 0 0 1.5 64", "circle inf 0 1.5 64", "circle"),
+        ("capacity", "circle 0 0 1.5 64", "circle 0 nan 1.5 64", "circle"),
     ],
 )
 def test_malformed_value_names_its_key(command, old, new, key):
@@ -161,6 +169,35 @@ def test_malformed_value_names_its_key(command, old, new, key):
     assert old in text
     with pytest.raises(ConfigValueError, match=f"^key {key!r} "):
         parse_config(RICH_SCENE + text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("add ball 0 0 0.8", "add ball 0 0 nan", "line 9: set 'B': ball radius must be positive and finite"),
+        ("add ball 0 0 0.8", "add ball 0 0 -inf", "line 9: set 'B': ball radius must be positive and finite"),
+        ("add ball 0 0 0.8", "add ball inf 0 0.8", "line 9: set 'B': ball point must be finite"),
+        ("add box -1 -1 1 1", "add box -1 -1 inf 1", "line 7: set 'A': box point must be finite"),
+        ("add ball 0 0 0.8", "add ball 0 0 0 0.8", "line 9: set 'B': ball takes 3 values on a 2-d grid, got 4"),
+        ("add box -1 -1 1 1", "add box -1 -1 1", "line 7: set 'A': box takes 4 values on a 2-d grid, got 3"),
+        ("kernel 2 0.1 -0.2", "kernel 2 nan -0.2", "line 15: field 'base': kernel point must be finite"),
+        ("kernel 2 0.1 -0.2", "kernel 2 0.1 -0.2 0",
+         "line 15: field 'base': kernel takes 3 values on a 2-d grid, got 4"),
+        ("kernel 2 0.1 -0.2", "kernel 3 0.1 -0.2",
+         "line 15: field 'base': kernel dim must be 2, the grid's dimension"),
+        ("affine 1 -2 0.5", "affine 1 0.5", "line 16: field 'lin': affine takes 3 values on a 2-d grid, got 2"),
+        ("affine 1 -2 0.5", "affine 1 inf 0.5", "line 16: field 'lin': affine point must be finite"),
+        ("affine 1 -2 0.5", "affine 1 -2 nan", "line 16: field 'lin': affine num is not a number: 'nan'"),
+        ("scale m 2.0", "scale m nan", "line 18: field 's': scale num is not a number: 'nan'"),
+        ("constant -0.75", "constant nan", "line 19: field 'c': constant num is not a number: 'nan'"),
+        ("offset c 1e-3", "offset c NaN", "line 20: field 'o': offset num is not a number: 'NaN'"),
+    ],
+)
+def test_malformed_set_or_field_value_names_its_line(old, new, message):
+    # a field the command does not use is checked all the same
+    assert old in RICH_SCENE
+    with pytest.raises(ConfigValueError, match=f"^{re.escape(message)}$"):
+        parse_config(RICH_SCENE.replace(old, new, 1) + RICH_COMMANDS["capacity"])
 
 
 def test_rich_commands_cover_every_kind():
@@ -260,6 +297,19 @@ def test_grid_invariants():
 )
 def test_non_finite_grid_value_names_its_line(old, new, line):
     with pytest.raises(ConfigValueError, match=f"^line {line}: .* finite$"):
+        parse_config(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("shape 9 9", "shape 9 9\n  spacng 0.5", "line 6: grid does not take 'spacng'"),
+        ("shape 9 9", "shape 9 9 9", "line 5: grid 'shape' takes 2 values on a 2-d grid, got 3"),
+        ("origin -1 -1", "origin -1", "line 5: grid 'shape' takes one value on a 1-d grid, got 2"),
+    ],
+)
+def test_bad_grid_key_names_its_line(old, new, message):
+    with pytest.raises(ConfigValueError, match=f"^{re.escape(message)}$"):
         parse_config(MINIMAL.replace(old, new))
 
 
