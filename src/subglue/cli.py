@@ -95,9 +95,7 @@ class _Scene:
         if kind == "max":
             a = self.field(recipe[1], domain)
             b = self.field(recipe[2], domain)
-            with np.errstate(invalid="ignore"):
-                vals = np.maximum(a.values, b.values)
-            return ScalarField(domain, vals)
+            return ScalarField(domain, np.maximum(a.values, b.values))
         if kind == "scale":
             return self.field(recipe[1], domain).affine_image(recipe[2], 0.0)
         if kind == "offset":
@@ -410,8 +408,8 @@ def main(argv=None) -> int:
                         help="recorded in the report; the runner itself uses no randomness")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
-    if args.tol is not None and math.isnan(args.tol):
-        parser.error("argument --tol: NaN is not a tolerance")
+    if args.tol is not None and not math.isfinite(args.tol):
+        parser.error(f"argument --tol: a tolerance must be finite, got {args.tol}")
 
     command = "?"
     try:

@@ -46,10 +46,11 @@ from .errors import ConfigNameError, ConfigSyntaxError, ConfigValueError
 __all__ = ["SceneConfig", "parse_config", "serialize_config"]
 
 # The grammar's tables map an entry's key to the kinds of its values.  Kinds:
-# set / field, the name of an earlier set or field block; num, a number; int,
-# an integer (4.0 counts); dim, the grid's dimension d; point, d finite
-# coordinates; radius / spacing, a positive finite number; sizes, d integers
-# of at least 2; circle, cx cy radius count; word, one token.  A point or
+# set / field, the name of an earlier set or field block; num, a number;
+# finite, a finite number (every tolerance: an infinite one passes every
+# check); int, an integer (4.0 counts); dim, the grid's dimension d; point, d
+# finite coordinates; radius / spacing, a positive finite number; sizes, d
+# integers of at least 2; circle, cx cy radius count; word, one token.  A point or
 # sizes takes one token per grid axis and every other kind but circle takes
 # one, so an entry's arity and its dimension are one rule.  NaN is never a
 # value.
@@ -76,30 +77,31 @@ FIELD_PRIMITIVES = {
 # key.  A command's point takes any number of coordinates: the library checks
 # a pole against the grid.
 COMMAND_KEYS = {
-    "verify": {"field": "field", "on": "set", "tol": "num", "exclude": "set?"},
+    "verify": {"field": "field", "on": "set", "tol": "finite", "exclude": "set?"},
     "green": {
         "domain": "set", "pole": "point", "S0": "set?", "max-iter": "int?", "rtol": "num?",
     },
     "glue-basic": {
-        "u": "field", "on": "set", "u0": "field", "on0": "set", "tol": "num",
-        "cert-tol": "num?",
+        "u": "field", "on": "set", "u0": "field", "on0": "set", "tol": "finite",
+        "cert-tol": "finite?",
     },
     "glue-two": {
-        "v": "field", "on": "set", "v0": "field", "on0": "set", "tol": "num",
-        "cert-tol": "num?",
+        "v": "field", "on": "set", "v0": "field", "on0": "set", "tol": "finite",
+        "cert-tol": "finite?",
     },
     "glue-quant": {
         "v": "field", "on": "set", "g": "field", "on0": "set", "M_v": "num", "m_v": "num",
-        "M_g": "num", "m_g": "num", "tol": "num", "cert-tol": "num?",
+        "M_g": "num", "m_g": "num", "tol": "finite", "cert-tol": "finite?",
     },
     "glue-green": {
         "v": "field", "domain": "set", "S0": "set", "S": "set", "D": "set", "pole": "point",
-        "m_v": "num", "M_v": "num", "tol": "num", "cert-tol": "num?", "harmonic-tol": "num?",
+        "m_v": "num", "M_v": "num", "tol": "finite", "cert-tol": "finite?",
+        "harmonic-tol": "finite?",
         "max-iter": "int?", "rtol": "num?",
     },
     "glue-full": {
         "v": "field", "domain": "set", "S0": "set", "pole": "point", "r": "num", "M_v": "num",
-        "tol": "num", "cert-tol": "num?", "harmonic-tol": "num?", "samples": "int?",
+        "tol": "finite", "cert-tol": "finite?", "harmonic-tol": "finite?", "samples": "int?",
         "max-iter": "int?", "rtol": "num?",
     },
     "capacity": {
@@ -161,6 +163,7 @@ def _number(token, label):
 # kind -> what is wrong with a value that is not of it
 _PROBLEMS = {
     "num": "is not a number: {text!r}",
+    "finite": "must be finite",
     "int": "is not an integer: {text!r}",
     "dim": "must be {d}, the grid's dimension",
     "point": "must be finite",
@@ -182,7 +185,7 @@ def _value(kind, tokens, label, where, d, names):
     x = [_number(t, label) for t in tokens]
     finite = all(map(math.isfinite, x))
     whole = all(v.is_integer() for v in x)  # False for inf and NaN
-    if kind == "num" and x[0] == x[0]:
+    if kind == "num" and x[0] == x[0] or kind == "finite" and finite:
         return x[0]
     if kind == "int" and whole:
         return int(x[0])

@@ -339,8 +339,6 @@ def spherical_mean(v: ScalarField, x, r: float, samples: int = 256) -> float:
         vals = interpolate(v, pts)
     except PreconditionError as exc:
         raise PreconditionError(f"sphere exits domain: {exc}") from exc
-    if np.any(vals == -np.inf):
-        return -math.inf
     return float(vals.mean())
 
 
@@ -366,12 +364,13 @@ def mean_inf_constant(
     box; the screen's error is about ``1e-15`` of it.  Every centre whose
     screened mean is within twice the slack of the least one is recomputed
     exactly, and so is every centre the screen cannot bound: one whose
-    stencil leaves the lattice box, one that may be absorbed by a -inf, and
-    one with a sample whose active corners are too light to renormalize (an
-    escaping sphere among them, which raises).  The result is bit-identical
-    to the least exact mean over the whole shell whenever the screen's error
-    is below the slack.  When all means tie, as on a constant field, every
-    centre is recomputed.
+    stencil leaves the lattice box, one whose stencil comes within one node
+    of a -inf (which may absorb the mean), and one with a sample whose
+    active corners are too light to renormalize (an escaping sphere among
+    them, which raises).  The result is bit-identical to the least exact
+    mean over the whole shell whenever the screen's error is below the
+    slack.  When all means tie, as on a constant field, every centre is
+    recomputed.
     """
     _require_samples(samples, v.domain.dim)
     v.domain.require_same_lattice(shell.domain)
@@ -422,36 +421,29 @@ def mean_inf_constant(
         at = tuple((nodes[inside] - first).T)
         # the stencil spans at most the lattice box, so the offsets unravel
         # to per-axis offsets lo..hi
-        kernel_at = np.unravel_index(offsets - lo @ strides, dom.shape)
         kernel = np.zeros(hi - lo + 1)
-        kernel[kernel_at] = weights
+        kernel[np.unravel_index(offsets - lo @ strides, dom.shape)] = weights
         safe_box = safe.reshape(dom.shape)[box]
         screen[inside] = _correlate(safe_box, kernel)[at] / samples
         # the 0/1 correlations count nodes, exact integers to about 1e-12
+        support = (kernel > 0).astype(float)
         inactive = ~dom.mask[box]
         if inactive.any():
-            touched = _correlate(inactive.astype(float), (kernel > 0).astype(float))
-            near[inside] = touched[at] > 0.5
-        minus_inf_box = minus_inf.reshape(dom.shape)[box]
-        near_minus_inf = None
-        if minus_inf_box.any():
-            support = np.zeros(kernel.shape)
-            support[tuple(k[absorbs] for k in kernel_at)] = 1.0
-            absorbed = _correlate(minus_inf_box.astype(float), support)[at] > 0.5
-            screen[inside[absorbed]] = -np.inf
-            # interpolate's cell for a sample on a gridline may be the next
-            # one over, so every -inf within one node of a corner counts
-            near_minus_inf = (
-                NodeSet(dom, minus_inf.reshape(dom.shape)).dilate().mask.ravel()
-            )
+            near[inside] = _correlate(inactive.astype(float), support)[at] > 0.5
         ids_near = np.flatnonzero(near)
         active_01 = active.astype(float) if ids_near.size else None
         for start in range(0, len(ids_near), block):
             ids = ids_near[start : start + block]
             screen[ids] = _renormalized_means(
-                nodes[ids] @ strides, active_01, safe, near_minus_inf,
-                corner_w.T, corner_off.T,
+                nodes[ids] @ strides, active_01, safe, corner_w.T, corner_off.T
             )
+        # a -inf within one node of a centre's stencil may absorb its exact
+        # mean (interpolate's cell for a sample on a gridline may be the next
+        # one over), so such a centre is recomputed exactly
+        near_minus_inf = NodeSet(dom, minus_inf.reshape(dom.shape)).dilate().mask[box]
+        if near_minus_inf.any():
+            touched = _correlate(near_minus_inf.astype(float), support)[at] > 0.5
+            screen[inside[touched]] = -np.inf
         # tiny keeps the slack positive where the FFT's error is absolute
         slack = _SCREEN_SLACK * float(np.abs(safe_box).max()) + np.finfo(float).tiny
 
@@ -485,15 +477,14 @@ def mean_inf_constant(
     return float(least)
 
 
-def _renormalized_means(flat, active, safe, near_minus_inf, corner_w, corner_off):
+def _renormalized_means(flat, active, safe, corner_w, corner_off):
     """Screened means about the lattice nodes at flat indices ``flat``, with
     each sample's corner weights renormalized over its active corners as in
     ``interpolate``; ``active`` is the 0/1 float mask and ``corner_w``,
     ``corner_off`` are (2**d, samples).
 
     A mean is -inf where some sample's active corners weigh less than
-    ``_SCREEN_MIN_WEIGHT`` or where a corner is set in ``near_minus_inf``
-    (None when the field has no -inf nearby)."""
+    ``_SCREEN_MIN_WEIGHT``."""
     idx = flat[:, None, None] + corner_off
     total = np.einsum("ks,cks->cs", corner_w, active[idx])
     # safe values are 0 on inactive corners, so only the total needs the mask
@@ -501,8 +492,6 @@ def _renormalized_means(flat, active, safe, near_minus_inf, corner_w, corner_off
     samples = corner_w.shape[1]
     means = (part / np.maximum(total, _SCREEN_MIN_WEIGHT)).sum(axis=1) / samples
     means[(total < _SCREEN_MIN_WEIGHT).any(axis=1)] = -np.inf
-    if near_minus_inf is not None:
-        means[near_minus_inf[idx].any(axis=(1, 2))] = -np.inf
     return means
 
 
@@ -578,19 +567,18 @@ def _laplacian(values: np.ndarray, mask: np.ndarray, h: float):
     (nodes beyond the array count as outside); ``(lap, interior_mask)`` as
     for :func:`laplacian_array`.  On a bounding box of the nodes of
     interest grown by one node, their entries are those of the whole
-    lattice."""
+    lattice.
+
+    IEEE arithmetic gives -inf for a -inf neighbour of a finite centre and
+    +inf for a -inf centre among finite neighbours; a -inf centre is pinned
+    to +inf, which also settles the undefined -inf - (-inf) of a -inf centre
+    with a -inf neighbour."""
     interior = _interior_mask(mask)
     twod = 2.0 * values.ndim
     with np.errstate(invalid="ignore"):
-        nb = _neighbour_sum(values)
-        lap = (nb - twod * values) / h**2
+        lap = (_neighbour_sum(values) - twod * values) / h**2
     lap = np.where(interior, lap, np.nan)
-    # centre at -inf: (-inf)*(-2d) would give +inf together with a finite or
-    # -inf neighbour sum; pin the convention explicitly.
-    centre_minus = interior & (values == -np.inf)
-    nb_minus = interior & (nb == -np.inf)
-    lap[nb_minus & ~centre_minus] = -np.inf
-    lap[centre_minus] = np.inf
+    lap[interior & (values == -np.inf)] = np.inf
     return lap, interior
 
 
@@ -687,9 +675,9 @@ def is_harmonic(
     tested = region.mask[box] & interior
     if not tested.any():
         raise PreconditionError("no interior node to test in the region")
-    violation = np.abs(lap[tested])
-    violation[~np.isfinite(violation)] = np.inf
-    return check_on(name, tag, violation, tested, tol, box=box, tested_nodes=int(tested.sum()))
+    return check_on(
+        name, tag, np.abs(lap[tested]), tested, tol, box=box, tested_nodes=int(tested.sum())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ def as_point(p) -> Point:
     return Point(p)
 
 
+def _require_power(x: float, k: int, what: str):
+    """Reject an ``x`` whose ``k``-th power overflows a float."""
+    try:
+        x**k
+    except OverflowError:
+        raise PreconditionError(f"{what} {x:g} is too large: its power {k} overflows") from None
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open Euclidean ball ``{x : |x - center| < radius}``."""
@@ -92,6 +100,7 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0):
             raise PreconditionError("ball radius must be positive")
+        _require_power(self.radius, 2, "ball radius")
 
     def contains(self, coords) -> np.ndarray:
         """Membership of the points whose k-th coordinates are
@@ -212,6 +221,8 @@ class GridDomain:
             raise PreconditionError("origin dimension does not match shape")
         if any(n < 2 for n in shape):
             raise PreconditionError("each grid axis needs at least 2 nodes")
+        # the stencil divides by h**2 and the Green pole strength by h**d
+        _require_power(float(spacing), max(2, len(shape)), "grid spacing")
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != shape:
             raise PreconditionError("mask shape does not match grid shape")

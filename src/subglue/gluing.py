@@ -157,13 +157,11 @@ _SLOPE_REL_TOL = 0.05
 
 
 def _one_sided_violation(lhs, rhs) -> np.ndarray:
-    """Violation of ``lhs <= rhs`` with -inf treated as the bottom element;
-    either side may be a scalar."""
+    """Violation of ``lhs <= rhs``, either side a scalar or an array: IEEE
+    makes -inf the bottom element, and ``fmax`` reads the NaN of the one
+    undefined form, -inf - (-inf), as no violation."""
     with np.errstate(invalid="ignore"):
-        diff = lhs - rhs
-    both = (lhs == -np.inf) & (rhs == -np.inf)
-    diff = np.where(both, 0.0, diff)
-    return np.clip(diff, 0.0, np.inf)
+        return np.fmax(lhs - rhs, 0.0)
 
 
 def _bound(name, tag, lhs, rhs, mask, tol, kind="conclusion", count=None, **details):
@@ -177,11 +175,13 @@ def _bound(name, tag, lhs, rhs, mask, tol, kind="conclusion", count=None, **deta
 
 
 def _equal(name, tag, a, b, mask, tol=0.0, kind="conclusion", count="region_nodes"):
-    """Report ``a == b`` on ``mask`` for two lattice arrays: the larger of the
-    two one-sided violations, which is ``|a - b|`` with -inf equal to -inf.
-    At the default ``tol`` of 0 it fails exactly when the values differ."""
-    a, b = a[mask], b[mask]
-    violation = np.maximum(_one_sided_violation(a, b), _one_sided_violation(b, a))
+    """Report ``a == b`` on ``mask`` for two lattice arrays: the violation
+    ``|a - b|`` is 0 for -inf against -inf (a NaN that ``fmax`` reads as 0)
+    and for +0.0 against -0.0.  At the default ``tol`` of 0 it fails exactly
+    when the values differ."""
+    with np.errstate(invalid="ignore"):
+        violation = np.abs(a[mask] - b[mask])
+    np.fmax(violation, 0.0, out=violation)
     return check_on(name, tag, violation, mask, tol, kind, **{count: int(mask.sum())})
 
 
@@ -395,15 +395,14 @@ def quantitative_v0(g: ScalarField, c: GlueConstants) -> ScalarField:
     with ``scale = (max(M_v,0) + max(-m_v,0)) / (M_g - m_g)``.
 
     A zero scale collapses the output to the zero field exactly (the
-    ``0 * (+-inf) = 0`` convention); otherwise ``-inf`` maps to ``-inf``.
+    ``0 * (-inf) = 0`` convention, which IEEE leaves undefined); otherwise
+    IEEE arithmetic maps ``-inf`` to ``-inf``.
     """
     scale = c.scale
     if scale == 0.0:
         vals = np.zeros(g.domain.shape)
     else:
-        with np.errstate(invalid="ignore"):
-            vals = scale * (2.0 * g.values - c.M_g - c.m_g)
-        vals = np.where(g.values == -np.inf, -np.inf, vals)
+        vals = scale * (2.0 * g.values - c.M_g - c.m_g)
     return ScalarField(g.domain, vals)
 
 

@@ -450,8 +450,7 @@ def harmonic_layer_continuation(
     solved = np.clip(values[layer.mask], ring_vals.min(), ring_vals.max())
     inside = v.values[layer.mask]
     out = v.values.copy()
-    with np.errstate(invalid="ignore"):
-        out[layer.mask] = np.maximum(solved, inside)
+    out[layer.mask] = np.maximum(solved, inside)
     engaged = int(np.sum(inside > solved))
     tilde = ScalarField(v.domain, out)
     return ContinuationResult(

@@ -157,13 +157,14 @@ def test_unreadable_field_file_exits_precondition(tmp_path, content):
     "old, new",
     [
         ("tol 4.9", "tol nan"),
+        ("tol 4.9", "tol inf"),
         ("sub ball 0 0 0.1", "sub ball 0 0 nan"),
         ("add ball 0 0 1", "add box -1 -1 inf 1"),
         ("field k { kernel 2 0 0 }", "field k { kernel 2 0 0 }\nfield unused { kernel 3 0 0 }"),
         ("field k { kernel 2 0 0 }", "field k { kernel 2 0 0 }\nfield unused { affine 1 0 }"),
         ("shape 129 129", "shape 129 129\n  spacng 0.5"),
     ],
-    ids=["nan-tol", "nan-radius", "inf-corner", "kernel-dim", "affine-dim", "grid-key"],
+    ids=["nan-tol", "inf-tol", "nan-radius", "inf-corner", "kernel-dim", "affine-dim", "grid-key"],
 )
 def test_bad_config_values_exit_config_status(tmp_path, capsys, old, new):
     assert old in VERIFY_KERNEL
@@ -178,6 +179,34 @@ def test_nan_tol_option_exits_config_status(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--tol", "nan"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf"])
+def test_infinite_tol_option_exits_config_status(tmp_path, capsys, tol):
+    # an infinite tolerance would pass every check
+    cfg = write_cfg(tmp_path, VERIFY_KERNEL)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out", str(tmp_path / "out"), f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "argument --tol: a tolerance must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("add ball 0 0 1", "add ball 0 0 1e155", "ball radius 1e+155 is too large"),
+        ("spacing 0.015625", "spacing 1e155", "grid spacing 1e+155 is too large"),
+    ],
+    ids=["radius", "spacing"],
+)
+def test_overflowing_radius_or_spacing_exits_precondition(tmp_path, capsys, old, new, message):
+    # a ball squares its radius and the stencil its spacing
+    assert old in VERIFY_KERNEL
+    cfg = write_cfg(tmp_path, VERIFY_KERNEL.replace(old, new))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"subglue: precondition failed: {message}")
+    assert "Traceback" not in err
 
 
 def test_nonconvergence_exits_internal(tmp_path):

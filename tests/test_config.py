@@ -156,6 +156,9 @@ def test_demo_configs_round_trip(path):
         ("capacity", "mode fekete", "mode a b", "mode"),
         ("capacity", "n 8", "n 4.5", "n"),
         ("glue-full", "tol 1e-3", "tol nan", "tol"),
+        ("glue-full", "tol 1e-3", "tol inf", "tol"),
+        ("glue-full", "cert-tol 0.05", "cert-tol inf", "cert-tol"),
+        ("glue-full", "harmonic-tol 0", "harmonic-tol -inf", "harmonic-tol"),
         ("glue-full", "M_v -0.7985", "M_v nan", "M_v"),
         ("glue-full", "rtol 1e-9", "rtol -nan", "rtol"),
         ("glue-full", "pole 0.1 -0.2", "pole nan 0", "pole"),
@@ -201,7 +204,7 @@ def test_malformed_set_or_field_value_names_its_line(old, new, message):
 
 
 def test_rich_commands_cover_every_kind():
-    kinds = {"set", "field", "num", "int", "point", "circle", "word"}
+    kinds = {"set", "field", "num", "finite", "int", "point", "circle", "word"}
     for keys in COMMAND_KEYS.values():
         assert {kind.removesuffix("?") for kind in keys.values()} <= kinds
     used = {

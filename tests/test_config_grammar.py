@@ -34,6 +34,8 @@ def _kind(draw, kind, d, names):
     """A value of ``kind`` on a ``d``-d grid, as ``parse_config`` stores it."""
     if kind == "num":
         return draw(st.floats(allow_nan=False))
+    if kind == "finite":
+        return draw(FINITE)
     if kind == "int":
         return draw(st.integers(-(10**6), 10**6))
     if kind == "dim":

@@ -348,6 +348,17 @@ def test_point_validation():
         Box((0, 0), (0, 1))
 
 
+def test_radius_and_spacing_whose_powers_overflow_are_rejected():
+    # a ball squares its radius; the stencil divides by h**2 and the Green
+    # pole strength by h**d
+    with pytest.raises(PreconditionError, match=r"^ball radius 1e\+155 is too large"):
+        Ball((0, 0), 1e155)
+    assert Ball((0, 0), 1e150).radius == 1e150
+    with pytest.raises(PreconditionError, match=r"^grid spacing 1e\+103 is too large: its power 3"):
+        GridDomain((0.0,) * 3, 1e103, (2, 2, 2), np.ones((2, 2, 2), dtype=bool))
+    assert GridDomain((0.0, 0.0), 1e103, (2, 2), np.ones((2, 2), dtype=bool)).spacing == 1e103
+
+
 # ---------------------------------------------------------------------------
 # node-set operations on the bounding box against the whole lattice
 # ---------------------------------------------------------------------------

@@ -425,6 +425,18 @@ def test_bound_violation_minus_inf_convention():
     assert bound_worst(vals, hi=0.25) == 0.25
     assert bound_worst(np.array([]), 1.0, 0.0) == 0.0
 
+    # the equality checks (1.2=, 3.2=, 4.5=, 4.11=): -inf equals -inf, a
+    # finite value is infinitely far from -inf, and the two zeros are equal
+    from subglue.gluing import _equal
+
+    def equal(a, b):
+        return _equal("equal", "e", np.array([a]), np.array([b]), np.ones(1, dtype=bool))
+
+    assert equal(-np.inf, -np.inf).worst == 0.0
+    assert equal(-np.inf, 2.0).worst == np.inf and equal(2.0, -np.inf).worst == np.inf
+    zeros = equal(0.0, -0.0)
+    assert zeros.passed and zeros.worst == 0.0 and zeros.where is None
+
 
 def _full_scene_h64(vals=None):
     h = 1 / 64

@@ -393,6 +393,25 @@ def test_minus_inf_on_a_light_corner_by_an_inactive_node_absorbs_the_mean():
     assert assert_bit_identical(v, shell, 3.0 * radius, samples=8) == -np.inf
 
 
+def test_minus_inf_one_node_beyond_the_least_stencil_matches_the_full_pass(interpolated):
+    # the field rises away from (16, 16), so that centre holds the least
+    # mean; the -inf at (21, 16) lies one node beyond its stencil (the
+    # sample at angle 0 lands on (20, 16)), so it absorbs no mean of the shell
+    dom, _ = full_lattice()
+    vals = dom.distance2_to(dom.node_points([(16, 16)])[0])
+    vals[21, 16] = -np.inf
+    v = ScalarField(dom, vals)
+    flat = np.ravel_multi_index((21, 16), dom.shape)
+    stencil = stencil_of(v, (16, 16), 0.75)
+    assert flat not in stencil and flat - dom.shape[1] in stencil
+    mask = np.zeros(dom.shape, dtype=bool)
+    mask[16, 16] = mask[16, 8] = mask[16, 24] = mask[8, 16] = True
+    got = assert_bit_identical(v, NodeSet(dom, mask), 0.75)
+    assert got == mean_inf_constant(v, single_node(dom, (16, 16)), 0.75)
+    assert_same_mean(got, exact_mean(v, dom.node_points([(16, 16)])[0], 0.25, 256))
+    assert interpolated == []  # the stencil sum, not interpolate
+
+
 def test_centre_outside_the_lattice_box_holding_the_minimum_matches_the_full_pass(interpolated):
     # the field falls along x, so the grazing centre (28, 16), whose stencil
     # leaves the lattice box, holds the least mean
