@@ -47,14 +47,9 @@ __all__ = [
 
 
 class DiscreteMeasure:
-    """Support points with nonnegative weights summing to one.
+    """Support points with nonnegative weights summing to one."""
 
-    ``_distinct=True`` skips the pairwise distinctness check, and its m x m
-    distance array, for a caller that has already rejected coincident
-    points.
-    """
-
-    def __init__(self, support, weights, _distinct=False):
+    def __init__(self, support, weights):
         support = np.atleast_2d(np.asarray(support, dtype=float))
         weights = np.asarray(weights, dtype=float)
         if support.shape[0] != weights.shape[0]:
@@ -68,11 +63,10 @@ class DiscreteMeasure:
         total = weights.sum()
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError("weights must sum to 1 within 1e-12")
-        if support.shape[0] > 1 and not _distinct:
-            d2 = _pairwise_dist2(support)
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() <= 0.0:
-                raise PreconditionError("support points must be pairwise distinct")
+        # equal rows (-0.0 equals 0.0) are adjacent once sorted
+        rows = support[np.lexsort(support.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            raise PreconditionError("support points must be pairwise distinct")
         self.support = support.copy()
         self.weights = weights.copy()
         self.support.setflags(write=False)
@@ -281,8 +275,7 @@ def equilibrium_weights(
             converged = True
             break
         in_support[worst] = True
-    # _kernel_matrix has rejected coincident points (a zero distance)
-    measure = DiscreteMeasure(support, w, _distinct=True)
+    measure = DiscreteMeasure(support, w)
     return EquilibriumResult(
         measure=measure, energy=energy, iterations=iterations, converged=converged
     )

@@ -106,8 +106,11 @@ class VerificationReport:
 
 def check(name, tag, worst, tol, where=None, kind="conclusion", **details) -> VerificationReport:
     """Build a report from a worst-violation magnitude; it passes exactly
-    when ``worst <= tol``.  Every report in the package is built here."""
+    when ``worst <= tol``.  Every report in the package is built here.  An
+    undefined (NaN) worst counts as an infinite violation."""
     worst = float(worst)
+    if math.isnan(worst):
+        worst = math.inf
     return VerificationReport(
         name=name,
         tag=tag,
@@ -126,11 +129,12 @@ def check_on(
     """Build a report from pointwise violations: ``violation`` holds one
     entry per member of ``mask``, in row-major order.  The worst is their
     maximum (0 for an empty mask) and the location the first member that
-    attains it, None unless the worst is positive.  ``box`` places a mask
-    given on a bounding box in the lattice."""
+    attains it, None unless the worst is positive or NaN (which ``check``
+    makes infinite).  ``box`` places a mask given on a bounding box in the
+    lattice."""
     worst = (float(np.max(violation)) if np.size(violation) else 0.0) + 0.0  # no -0.0
     where = None
-    if worst > 0:
+    if not worst <= 0:
         at = np.unravel_index(np.flatnonzero(mask)[np.argmax(violation)], mask.shape)
         where = tuple(int(i) + (box[k].start if box else 0) for k, i in enumerate(at))
     return check(name, tag, worst, tol, where, kind, **details)
@@ -570,15 +574,22 @@ def _laplacian(values: np.ndarray, mask: np.ndarray, h: float):
     lattice.
 
     IEEE arithmetic gives -inf for a -inf neighbour of a finite centre and
-    +inf for a -inf centre among finite neighbours; a -inf centre is pinned
-    to +inf, which also settles the undefined -inf - (-inf) of a -inf centre
-    with a -inf neighbour."""
+    +inf for a -inf centre among finite neighbours.  Only the non-finite
+    stencils are looked at again: one with a -inf centre is pinned to +inf
+    (settling -inf - (-inf)), one with a -inf neighbour to -inf (also where
+    the finite neighbours overflow), and any other overflowed: NaN."""
     interior = _interior_mask(mask)
     twod = 2.0 * values.ndim
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         lap = (_neighbour_sum(values) - twod * values) / h**2
     lap = np.where(interior, lap, np.nan)
-    lap[interior & (values == -np.inf)] = np.inf
+    nodes = np.nonzero(interior & ~np.isfinite(lap))
+    centre = values[nodes] == -np.inf
+    touch = centre.copy()
+    for k in range(values.ndim):  # interior nodes have all 2d neighbours
+        for step in (1, -1):
+            touch |= values[nodes[:k] + (nodes[k] + step,) + nodes[k + 1 :]] == -np.inf
+    lap[nodes] = np.where(centre, np.inf, np.where(touch, -np.inf, np.nan))
     return lap, interior
 
 
@@ -586,8 +597,9 @@ def laplacian_array(v: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Stencil Laplacian on interior nodes.
 
     Returns ``(lap, interior_mask)``; entries of ``lap`` outside the interior
-    are NaN.  Stencils touching a -inf value produce -inf (neighbour) or
-    +inf (centre at -inf); callers decide how to treat those.
+    and at stencils that overflow are NaN.  Stencils touching a -inf value
+    produce -inf (neighbour) or +inf (centre at -inf); callers decide how to
+    treat those.
     """
     return _laplacian(v.values, v.domain.mask, v.domain.spacing)
 
@@ -598,7 +610,7 @@ def discrete_laplacian(v: ScalarField, node) -> ExtReal:
     Requires the node and its 2d axis neighbours to be active.  A -inf
     neighbour gives ``-inf``; a -inf centre gives ``+inf`` (the sub-mean
     inequality holds trivially there).  The value is that of
-    :func:`laplacian_array` at the node.
+    :func:`laplacian_array` at the node; a stencil that overflows raises.
     """
     dom = v.domain
     # the node as the lattice reads it (negative entries count from the end)
@@ -608,6 +620,8 @@ def discrete_laplacian(v: ScalarField, node) -> ExtReal:
     at = tuple(i - s.start for i, s in zip(node, box))
     if not interior[at]:
         raise PreconditionError("not interior: node or an axis neighbour is inactive")
+    if np.isnan(lap[at]):
+        raise PreconditionError(f"the stencil at node {list(node)} overflows")
     return ExtReal(lap[at])
 
 
@@ -632,7 +646,8 @@ def is_subharmonic(
 
     Nodes in ``exclude`` are skipped (used to puncture a Green pole).  -inf
     centres pass automatically and stencils touching a -inf neighbour are
-    exempted; the report counts them under ``minus_inf_skipped``.
+    exempted; the report counts them under ``minus_inf_skipped``.  A stencil
+    that overflows counts as an infinite violation.
     """
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")
@@ -644,8 +659,8 @@ def is_subharmonic(
     lap, tested = _laplacian(v.values[box], v.domain.mask[box], v.spacing)
     if exclude is not None:
         tested &= ~exclude.mask[box]
-    skipped = tested & ~np.isfinite(lap)
-    tested &= np.isfinite(lap)
+    skipped = tested & np.isinf(lap)
+    tested &= ~skipped
     return check_on(
         name, tag, np.maximum(0.0, -lap[tested]), tested, tol, box=box,
         tested_nodes=int(tested.sum()), minus_inf_skipped=int(skipped.sum()),
@@ -662,8 +677,9 @@ def is_harmonic(
     """Certify ``|stencil Laplacian| <= tol`` on the region's interior nodes.
 
     Region nodes that are not interior cannot be evaluated and are skipped;
-    an empty evaluable region raises.  A stencil touching -inf counts as an
-    infinite violation (harmonic values must be finite).
+    an empty evaluable region raises.  A stencil touching -inf, or one that
+    overflows, counts as an infinite violation (harmonic values must be
+    finite).
     """
     if not (tol > 0):
         raise PreconditionError("tolerance must be positive")

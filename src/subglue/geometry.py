@@ -107,7 +107,9 @@ class Ball:
         ``coords[k]``: per-axis arrays that broadcast together, such as
         :meth:`GridDomain.coordinate_grids`, or the columns ``pts.T`` of an
         (m, d) array."""
-        d2 = sum((x - c) ** 2 for x, c in zip(coords, self.center))
+        # a squared distance that overflows lies beyond radius**2, which does not
+        with np.errstate(over="ignore"):
+            d2 = sum((x - c) ** 2 for x, c in zip(coords, self.center))
         return d2 < self.radius**2
 
 

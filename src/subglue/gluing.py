@@ -243,7 +243,8 @@ def _core_conclusions(glued, core_mask, green, scale, tag, phrase, harmonic_tol)
     (``tag + "+"``), and either the pole slope ``2 * scale`` against the
     kernel profile or, at zero scale, the collapse of the core to zero
     (``tag + "o"``)."""
-    core_mask = core_mask & ~green.pole_set().mask
+    core_mask = core_mask.copy()
+    core_mask[green.pole_node] = False
     harmonic_tol = 10.0 * glued.spacing if harmonic_tol is None else harmonic_tol
     reports = [
         is_harmonic(
@@ -531,7 +532,7 @@ def glue_green(
     # inclusion chain: o in Int s0, s0 compactly inside s, s inside ambient
     try:
         # the lattice node nearest the pole, snapped as green_function snaps
-        pole_node = _snap_pole(lattice, np.ones(lattice.shape, dtype=bool), as_point(o))[0]
+        pole_node = _snap_pole(lattice, np.broadcast_to(True, lattice.shape), as_point(o))[0]
     except PreconditionError:  # the pole lies beyond the lattice
         pole_node = None
     if pole_node is None or not s0.interior().mask[pole_node]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .field import ScalarField
-from .geometry import GridDomain, NodeSet, Point, _bounding_box, as_point
+from .geometry import GridDomain, NodeSet, Point, _bounding_box, _shift_slices, as_point
 
 __all__ = [
     "SolverParams",
@@ -64,7 +64,7 @@ class SolverParams:
             raise PreconditionError("residual tolerance must be positive")
 
 
-def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source):
+def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
     """The stencil system on the unknowns, split by colour.
 
     A node is black when its lattice index sum is odd and red when it is
@@ -76,10 +76,10 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source)
     colour masks on the box, the 0/1 red-to-black adjacency ``N`` (CSR, rows
     red and columns black, each colour numbered in row-major order, which
     is the lattice's order) and ``N^T``, and the right-hand side of each
-    colour, which holds the fixed neighbour values (0 beyond the lattice)
-    minus ``h^2 source`` (a full-lattice array, or None).  The full system
-    is ``2d u_red - N u_black = b_red`` and ``2d u_black - N^T u_red =
-    b_black``.
+    colour, which holds the sum of the fixed neighbour values (0 beyond the
+    lattice) minus, at the pole node, ``h^2 strength`` for ``pole = (node,
+    strength)`` (or None).  The full system is ``2d u_red - N u_black =
+    b_red`` and ``2d u_black - N^T u_red = b_black``.
     """
     # imported here, not at module level, so that importing subglue for
     # capacity or certification alone does not load scipy.sparse
@@ -97,21 +97,14 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source)
     black = unknown & odd
     # on the box padded by one node, the 2d neighbours of flat index i sit
     # at i + offsets, in ascending order; the pad stands for the nodes
-    # beyond the lattice (unnumbered, value 0)
+    # beyond the lattice (unnumbered)
     number = np.full(values.shape, -1, dtype=np.int32)
     number[black] = np.arange(np.count_nonzero(black), dtype=np.int32)
     number = np.pad(number, 1, constant_values=-1)
     strides = np.array(number.strides) // number.itemsize
     offsets = np.sort(np.concatenate([-strides, strides]))
-    number = number.ravel()
-    fixed = np.pad(np.where(unknown, 0.0, values), 1).ravel()
-
-    def neighbours(colour: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(np.pad(colour, 1))[:, None] + offsets
-
-    at = neighbours(red)
     # the unknown neighbours of a red node are all black
-    table = number[at]
+    table = number.ravel()[np.flatnonzero(np.pad(red, 1))[:, None] + offsets]
     present = table >= 0
     indptr = np.zeros(table.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
@@ -119,24 +112,26 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, source)
         (np.ones(int(indptr[-1])), table[present], indptr),
         shape=(table.shape[0], np.count_nonzero(black)),
     )
-    b_red = fixed[at].sum(axis=1)
-    b_black = fixed[neighbours(black)].sum(axis=1)
-    if source is not None:
-        source = source[box]
-        b_red -= (h * h) * source[red]
-        b_black -= (h * h) * source[black]
-    return box, red, black, adj, adj.T.tocsr(), b_red, b_black
+    # the fixed neighbour sums, added from 0 in ascending offset order as a
+    # row sum of the gathered neighbours adds them; an unknown neighbour
+    # adds +0 and one beyond the lattice is skipped, both leaving every bit
+    fixed = np.where(unknown, 0.0, values)
+    b = np.zeros(values.shape)
+    axes = range(values.ndim)
+    for k, step in [*((k, -1) for k in axes), *((k, 1) for k in reversed(axes))]:
+        dst, src, _ = _shift_slices(values.ndim, k, step)
+        b[dst] += fixed[src]
+    if pole is not None:  # (node, strength), the node on the lattice
+        b[tuple(i - s.start for i, s in zip(pole[0], box))] -= (h * h) * pole[1]
+    return box, red, black, adj, adj.T.tocsr(), b[red], b[black]
 
 
 def _cg_solve(
-    values: np.ndarray,
-    unknown: np.ndarray,
-    h: float,
-    params: SolverParams,
-    source: np.ndarray | None = None,
+    values: np.ndarray, unknown: np.ndarray, h: float, params: SolverParams, pole=None
 ):
-    """Conjugate gradients for ``lap u = source`` on the unknown nodes, run
-    on the red-black reduced system.
+    """Conjugate gradients for ``lap u = f`` on the unknown nodes, run on the
+    red-black reduced system, where ``f`` is 0 but for ``strength`` at the
+    unknown ``node`` of ``pole = (node, strength)``.
 
     ``values`` enters with the fixed data preset and an initial guess on the
     black unknowns; it is modified in place.  With ``D = 2d``, eliminating
@@ -146,7 +141,7 @@ def _cg_solve(
     residual is the stencil residual on the black nodes once the red values
     are back-substituted, and the red residual is then zero up to roundoff.
     Returns ``(residual, iterations)`` where the residual is
-    ``max |sum(neighbours) - 2d u - h^2 source|`` over all the unknowns and
+    ``max |sum(neighbours) - 2d u - h^2 f|`` over all the unknowns and
     the iterations are those of the reduced system.  A recurrence residual
     that meets the target is confirmed against the true residual over both
     colours, and CG restarts from the true one if not.
@@ -157,15 +152,13 @@ def _cg_solve(
     if fixed.any():
         hi = values.max(where=fixed, initial=-np.inf)
         scale = float(hi - values.min(where=fixed, initial=np.inf))
-    if source is not None:
-        scale = max(scale, (h * h) * float(max(source.max(), -source.min())))
+    if pole is not None:
+        scale = max(scale, (h * h) * abs(pole[1]))
     target = params.rtol * scale
     if not unknown.any():
         return 0.0, 0
 
-    box, red, black, adj, adj_t, b_red, b_black = _red_black_system(
-        values, unknown, h, source
-    )
+    box, red, black, adj, adj_t, b_red, b_black = _red_black_system(values, unknown, h, pole)
     view = values[box]
     diag = 2.0 * values.ndim
 
@@ -363,10 +356,9 @@ def green_function(
         raise PreconditionError("domain has no interior nodes")
     pole_node, offset = _snap_pole(domain, interior, o)
     h = domain.spacing
-    source = np.zeros(domain.shape)
-    source[pole_node] = -_source_strength(domain.dim) / h**domain.dim
     values = np.zeros(domain.shape)
-    residual, iterations = _cg_solve(values, interior, h, params, source=source)
+    pole = (pole_node, -_source_strength(domain.dim) / h**domain.dim)
+    residual, iterations = _cg_solve(values, interior, h, params, pole=pole)
     # the solve writes only interior nodes, so the rest of the lattice is 0
     np.maximum(values, 0.0, out=values)
     host = domain.full_lattice()

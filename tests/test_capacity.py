@@ -58,6 +58,19 @@ def test_measure_invariants():
         DiscreteMeasure(np.vstack([pts, pts[:1]]), np.full(5, 0.2))  # duplicate
 
 
+def test_measure_distinctness_needs_no_pairwise_array():
+    # 9,000 points would need a 648 MB distance array; sorting needs none
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1.0, 1.0, (9000, 2))
+    assert DiscreteMeasure.uniform(pts).size == 9000
+    # a repeated row far from its copy in the input order
+    with pytest.raises(PreconditionError, match="pairwise distinct"):
+        DiscreteMeasure.uniform(np.vstack([pts[:100], pts[37:38], pts[100:200]]))
+    # -0.0 and 0.0 are the same coordinate
+    with pytest.raises(PreconditionError, match="pairwise distinct"):
+        DiscreteMeasure.uniform([[-0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
+
+
 # ---------------------------------------------------------------------------
 # mutual energy
 # ---------------------------------------------------------------------------
@@ -638,9 +651,9 @@ def test_fekete_lattice_disk_memory_is_linear():
     [
         (lambda pts: fekete_capacity(pts, pts.shape[0]), 8200, 8200),
         (lambda pts: equilibrium_weights(pts, 2), 8193, 8193),
-        (lambda pts: DiscreteMeasure.uniform(pts), 8193, 8193),
+        (lambda pts: mutual_energy(DiscreteMeasure.uniform(pts), 2), 8193, 8193),
     ],
-    ids=["fekete", "equilibrium", "measure"],
+    ids=["fekete", "equilibrium", "energy"],
 )
 def test_memory_guard_names_the_estimate_before_allocating(call, m, n):
     pts = roots_of_unity(m)

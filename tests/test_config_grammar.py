@@ -6,10 +6,16 @@ each primitive and a command with its required keys and a drawn subset of its
 optional ones, so the examples reach every shape, primitive and kind.
 """
 
+import dataclasses
+import json
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subglue import ConfigError, parse_config, serialize_config
+from subglue.cli import main
 from subglue.config import COMMAND_KEYS, FIELD_PRIMITIVES, GRID_KEYS, SHAPES, SceneConfig
 
 NAMES = st.sampled_from(["A", "B", "S0", "f", "g_1", "v", "x.y", "-"])
@@ -160,3 +166,36 @@ def _leaves(value):
             yield from _leaves(item)
     else:
         yield value
+
+
+@st.composite
+def small_configs(draw):
+    """A generated config on at most 33 nodes in 1-d, 33^2 in 2-d and 9^3 in
+    3-d, with at most 2,000 circle points.  The circle cap stands for a
+    known defect, not a fix: the farthest pair of a circle is quadratic in
+    its points (4.75 s at 20,000), ROADMAP item 3's bounded farthest pair."""
+    cfg = draw(configs())
+    params = dict(cfg.params)
+    if "circle" in params:
+        *circle, count = params["circle"]
+        params["circle"] = (*circle, str(min(int(count), 2000)))
+    shape = tuple(min(n, 9) for n in cfg.shape) if len(cfg.shape) == 3 else cfg.shape
+    return dataclasses.replace(cfg, shape=shape, params=params)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(cfg=small_configs())
+def test_generated_configs_run_to_a_documented_status(cfg):
+    # the run never raises, exits with a documented status, and a report it
+    # writes carries that status
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.cfg")
+        with open(path, "w") as handle:
+            handle.write(serialize_config(cfg))
+        out = os.path.join(tmp, "out")
+        status = main(["--config", path, "--out", out, "--quiet"])
+        assert status in (0, 2, 3, 4, 5)
+        report = os.path.join(out, "report.json")
+        if os.path.exists(report):
+            with open(report) as handle:
+                assert json.load(handle)["exit_status"] == status

@@ -255,6 +255,55 @@ def test_is_harmonic_saddle_and_quadratic():
     assert not is_harmonic(quad_field(dom), region, 1e-6).passed
 
 
+def _peak_scene(base, peak, h):
+    """A 9x9 lattice at spacing ``h`` holding ``base`` but ``peak`` at the
+    centre."""
+    values = np.full((9, 9), base)
+    values[4, 4] = peak
+    return ScalarField(GridDomain((0.0, 0.0), h, (9, 9), np.ones((9, 9), dtype=bool)), values)
+
+
+@pytest.mark.parametrize(
+    "base, peak, h",
+    [
+        (1e308, 1.7e308, 1.0),  # the neighbour sums overflow: inf - inf
+        (-1e308, -0.5e308, 1.0),  # a strict maximum among -inf sums
+        (0.0, 1.0, 1e-160),  # the division by h^2 overflows
+    ],
+    ids=["plus-overflow", "minus-overflow", "tiny-spacing"],
+)
+def test_overflowing_stencil_is_an_infinite_violation(base, peak, h):
+    # a stencil that overflows touches no -inf value, so it is not exempt:
+    # both checks fail with an infinite worst, and no NaN reaches a report
+    v = _peak_scene(base, peak, h)
+    sub = is_subharmonic(v, 1e-3)
+    harm = is_harmonic(v, v.domain.active_set(), 1e-3)
+    for report in (sub, harm):
+        assert not report.passed
+        assert report.worst == math.inf and report.where is not None
+        assert report.as_record()["worst_violation"] == math.inf
+    assert sub.details == {"tested_nodes": 49, "minus_inf_skipped": 0}
+    with pytest.raises(PreconditionError, match=r"stencil at node \[4, 4\] overflows"):
+        discrete_laplacian(v, (4, 4))
+
+
+def test_minus_inf_stencils_stay_exempt_where_neighbours_overflow():
+    # a -inf neighbour of a finite centre reads -inf even where the finite
+    # neighbours overflow (inf + -inf), and a -inf centre reads +inf
+    v = _peak_scene(1e308, 1e308, 1.0)
+    values = v.values.copy()
+    values[4, 4] = -np.inf
+    v = v.with_values(values)
+    lap, interior = laplacian_array(v)
+    assert lap[4, 4] == math.inf
+    assert lap[3, 4] == lap[4, 5] == -math.inf
+    assert np.isnan(lap[2, 2])  # touches no -inf: an overflow
+    sub = is_subharmonic(v, 1e-3)
+    assert sub.details == {"tested_nodes": 44, "minus_inf_skipped": 5}
+    assert not sub.passed and sub.worst == math.inf
+    assert discrete_laplacian(v, (3, 4)) == MINUS_INF
+
+
 def test_is_harmonic_empty_region_errors():
     dom = disk_domain(1.0, h=1 / 16)
     v = ScalarField.constant(dom, 0.0)

@@ -329,7 +329,9 @@ def test_cg_matches_dense_solve_on_random_masked_domains(shape, seed):
     rtol = 1e-12
     scale = max(np.ptp(values[~unknown]), h * h * abs(source[pole]))
     solved = values.copy()
-    residual, iterations = _cg_solve(solved, unknown, h, SolverParams(rtol=rtol), source=source)
+    residual, iterations = _cg_solve(
+        solved, unknown, h, SolverParams(rtol=rtol), pole=(pole, source[pole])
+    )
     assert iterations > 0 and 0 < residual <= rtol * scale
     assert float(np.abs(solved[unknown] - expected).max()) <= 1e-9
     assert np.array_equal(solved[~unknown], values[~unknown])
@@ -530,10 +532,15 @@ def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, las
             face = [slice(a2, b2 + 1) for a2, b2 in zip(first, last)]
             face[k] = i
             unknown[tuple(face)] = True
-    values = np.where(unknown, 0.0, rng.uniform(-1.0, 1.0, shape))
-    source = rng.uniform(-5.0, 5.0, shape)
+    # a fifth of the fixed values are -0.0: a sum of them from 0 is +0.0
+    fixed = rng.uniform(-1.0, 1.0, shape)
+    fixed[rng.random(shape) < 0.2] = -0.0
+    values = np.where(unknown, 0.0, fixed)
+    pole = tuple(np.argwhere(unknown)[rng.integers(unknown.sum())])
+    source = np.zeros(shape)
+    source[pole] = rng.uniform(-5.0, 5.0)
     h = 1 / 16
-    box, *system = _red_black_system(values, unknown, h, source)
+    box, *system = _red_black_system(values, unknown, h, (pole, source[pole]))
     expected = _whole_lattice_red_black_system(values, unknown, h, source)
     assert box == tuple(
         slice(max(a - 1, 0), min(b + 2, n)) for a, b, n in zip(first, last, shape)
@@ -550,6 +557,7 @@ def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, las
         assert np.array_equal(matrix.data, ref.data)
     for rhs, ref in zip(system[4:], expected[4:]):
         assert np.array_equal(rhs, ref)
+        assert np.array_equal(np.signbit(rhs), np.signbit(ref))
 
 
 def _whole_lattice_pole(domain, o):
