@@ -50,7 +50,10 @@ class SolverParams:
     """Conjugate-gradient settings.
 
     A solve stops once the max-norm of the stencil residual is at most
-    ``rtol`` times the data range; ``max_iter`` bounds the number of CG
+    ``rtol`` times the extent of the fixed lattice values together with 0,
+    ``max(hi, 0) - min(lo, 0)`` over every finite value the solve holds
+    fixed (the nodes outside the domain hold 0), or ``h^2`` times the pole
+    strength if that is larger; ``max_iter`` bounds the number of CG
     iterations on the reduced system.
     """
 
@@ -142,20 +145,26 @@ def _cg_solve(
     are back-substituted, and the red residual is then zero up to roundoff.
     Returns ``(residual, iterations)`` where the residual is
     ``max |sum(neighbours) - 2d u - h^2 f|`` over all the unknowns and
-    the iterations are those of the reduced system.  A recurrence residual
-    that meets the target is confirmed against the true residual over both
-    colours, and CG restarts from the true one if not.
+    the iterations are those of the reduced system.  The target is ``rtol``
+    times the scale ``max(hi, 0) - min(lo, 0)``, where ``lo`` and ``hi``
+    bound the finite values on every node of the lattice that is not an
+    unknown, raised to ``h^2 |strength|`` by a pole; a scale of 0 (zero
+    data, no pole) sets the unknowns to 0 after no iteration.  A recurrence
+    residual that meets the target is confirmed against the true residual
+    over both colours, and CG restarts from the true one if not.
     """
-    # the data range by masked reductions, without a copy of the fixed data
+    # the extent of the fixed data together with 0, by masked reductions
+    # without a copy of the fixed data: 0 keeps the target of offset data
+    # above the roundoff of their magnitude
     fixed = ~unknown & np.isfinite(values)
-    scale = 0.0
-    if fixed.any():
-        hi = values.max(where=fixed, initial=-np.inf)
-        scale = float(hi - values.min(where=fixed, initial=np.inf))
+    scale = float(values.max(where=fixed, initial=0.0) - values.min(where=fixed, initial=0.0))
     if pole is not None:
         scale = max(scale, (h * h) * abs(pole[1]))
     target = params.rtol * scale
     if not unknown.any():
+        return 0.0, 0
+    if scale == 0.0:  # zero data and no pole: the solution is 0
+        values[unknown] = 0.0
         return 0.0, 0
 
     box, red, black, adj, adj_t, b_red, b_black = _red_black_system(values, unknown, h, pole)
@@ -218,8 +227,11 @@ def solve_dirichlet(
     """Solve the discrete Laplace equation on a connected grid domain.
 
     ``boundary_values`` is a full-lattice array read at the domain's boundary
-    nodes; those nodes are held fixed and the interior is iterated until the
-    stencil residual drops below ``rtol * (boundary range)``.  The output is
+    nodes; those nodes are held fixed, the nodes outside the domain hold 0,
+    and the interior is iterated until the stencil residual drops below
+    ``rtol * (max(hi, 0) - min(lo, 0))`` for boundary values in ``[lo, hi]``
+    (see :class:`SolverParams`), so offset data stop at a residual relative
+    to their magnitude, not to their range.  The output is
     clamped into ``[min boundary, max boundary]``, which the exact discrete
     solution satisfies (maximum principle) and the clamp only trims solver
     noise.

@@ -870,3 +870,44 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
     for name in ("report.json", "field.txt"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+VERIFY_OVERFLOW = """
+grid {
+  origin 0 0
+  spacing 1
+  shape 9 9
+}
+set L { add box -1 -1 9 9 }
+field peak { file peak.txt }
+command verify {
+  field peak
+  on L
+  tol 1e-3
+}
+"""
+
+
+def test_infinite_worst_is_the_only_non_standard_json_token(tmp_path):
+    # 1e308 with 1.7e308 at the centre: the stencil overflows, the check
+    # fails with an infinite worst, and report.json holds Infinity
+    from subglue import GridDomain, ScalarField, write_field
+
+    values = np.full((9, 9), 1e308)
+    values[4, 4] = 1.7e308
+    write_field(
+        ScalarField(GridDomain((0, 0), 1.0, (9, 9), np.ones((9, 9), dtype=bool)), values),
+        tmp_path / "peak.txt",
+    )
+    cfg = write_cfg(tmp_path, VERIFY_OVERFLOW)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 4
+    tokens = []
+
+    def only_infinity(token):
+        assert token == "Infinity", token
+        tokens.append(token)
+        return math.inf
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=only_infinity)
+    assert tokens and report["checks"][0]["worst_violation"] == math.inf

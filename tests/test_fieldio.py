@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from subglue import (
     Ball,
+    GridDomain,
     PreconditionError,
     ScalarField,
     kernel_field,
@@ -13,7 +17,15 @@ from subglue import (
     write_field,
     write_points,
 )
-from subglue.fieldio import _rle_decode, _rle_encode, field_from_text, field_to_text
+from subglue import errors
+from subglue.cli import main
+from subglue.fieldio import (
+    _rle_decode,
+    _rle_encode,
+    _writer_layout,
+    field_from_text,
+    field_to_text,
+)
 
 from conftest import disk_domain, minus_inf_set
 
@@ -139,6 +151,129 @@ def test_field_text_is_one_repr_per_node(name, tmp_path):
     back = read_field(path)
     assert back.domain == v.domain
     assert np.array_equal(back.values[v.domain.mask].view(np.int64), values.view(np.int64))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("fmt", ["repr", "%.25e"])
+def test_field_values_are_float_of_each_line_bit_for_bit(fmt):
+    # the one-pass conversion against float() per line, on 10^5 random
+    # finite bit patterns written shortest (the writer) and with 26 digits
+    rng = np.random.default_rng(41)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=120_000)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:100_489]
+    specials = [-0.0, -np.inf, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1e16, 1e-05]
+    values[: len(specials)] = specials
+    dom = GridDomain((0.0, 0.0), 1.0, (317, 317), np.ones((317, 317), dtype=bool))
+    header = field_to_text(ScalarField.constant(dom, 0.0)).split("\n")[:5]
+    lines = [repr(x) if fmt == "repr" or x == -np.inf else fmt % x for x in values.tolist()]
+    text = "\n".join(header + lines) + "\n"
+    assert _writer_layout(text, len("\n".join(header)) + 1, values.size)
+    back = field_from_text(text).values[dom.mask]
+    assert np.array_equal(_bits(back), _bits([float(line) for line in lines]))
+    if fmt == "repr":
+        assert np.array_equal(_bits(back), _bits(values))
+
+
+def _nine_node_text():
+    dom = GridDomain((0.0, 0.0), 0.5, (3, 3), np.ones((3, 3), dtype=bool))
+    return field_to_text(ScalarField(dom, np.arange(9.0).reshape(3, 3) - 4.0))
+
+
+_NINE = [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+_ONE = "dim 1\nshape 2\norigin 0.0\nspacing 1.0\nmask rle 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda t: t.replace("\n0.0\n", "\n\n0.0\n"), _NINE),
+        (lambda t: t[:-1], _NINE),
+        (lambda t: t.replace("\n0.0\n", "\n  0.0 \n"), _NINE),
+        (lambda t: t.replace("\n4.0\n", "\n4_0\n"), _NINE[:-1] + [40.0]),
+        (lambda t: t.replace("-4.0\n-3.0\n", "-4.0 -3.0\n"), "8 values for 9 active nodes"),
+        (lambda t: t.replace("-4.0\n-3.0\n", "-4.0 -3.0\n\n"), "8 values for 9 active nodes"),
+        (lambda t: t.replace("-4.0\n-3.0\n", "-4.0 -3.0\n \n"), "8 values for 9 active nodes"),
+        (lambda t: t.replace("\n", "\r\n"), _NINE),
+        (lambda t: t.replace("\n0.0\n", "\nabc\n"),
+         "line 10: could not convert string to float: 'abc'"),
+        (lambda t: t.replace("\n0.0\n", "\nnan(1)\n"),
+         "line 10: could not convert string to float: 'nan(1)'"),
+        (lambda t: t.replace("\n0.0\n", "\n\v\n"), "8 values for 9 active nodes"),
+        (lambda t: _ONE + "\v\n", "0 values for 1 active nodes"),
+        (lambda t: _ONE + "\n", "0 values for 1 active nodes"),
+    ],
+    ids=["blank-line", "no-final-newline", "padded-line", "underscore", "two-on-a-line",
+         "two-on-a-line-and-blank", "two-on-a-line-and-a-space-line", "crlf", "bad-token",
+         "nan-parenthesis", "vertical-tab-line", "lone-vertical-tab", "lone-newline"],
+)
+def test_irregular_value_blocks_read_as_line_by_line(edit, expected):
+    # what the per-line parser makes of each layout, also where numpy's
+    # separator would read it otherwise (it reads a lone whitespace as -1)
+    text = edit(_nine_node_text())
+    if isinstance(expected, str):
+        with pytest.raises(PreconditionError) as err:
+            field_from_text(text)
+        assert str(err.value) == f"field file: {expected}"
+    else:
+        v = field_from_text(text)
+        assert np.array_equal(_bits(v.values[v.domain.mask]), _bits(expected))
+
+
+def test_a_numpy_1_partial_read_goes_to_the_per_line_parser(monkeypatch):
+    # numpy 1.x warns on a bad token and returns what it read before it,
+    # which for a bad tail on the last line is every value
+    def numpy_1(block, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array(_NINE)
+
+    text = _nine_node_text().replace("\n4.0\n", "\n4.0abc\n")
+    monkeypatch.setattr(np, "fromstring", numpy_1)
+    with pytest.raises(PreconditionError) as err:
+        field_from_text(text)
+    assert str(err.value) == "field file: line 14: could not convert string to float: '4.0abc'"
+
+
+def test_reading_the_readme_field_peaks_below_three_mib(tmp_path):
+    # a Python float and string per value took 6.8 MiB here
+    import pathlib
+
+    cfg = pathlib.Path(__file__).parent.parent / "demos" / "scene_configs" / "glue_full_disk.cfg"
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    text = (tmp_path / "field.txt").read_text()
+    tracemalloc.start()
+    try:
+        v = field_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.domain.active_count == 51_429
+    assert peak <= 3 * 2**20
+
+
+@pytest.mark.parametrize("edit", [lambda t: t, lambda t: t.replace("\n", "\r\n")],
+                         ids=["one-pass", "per-line"])
+def test_field_reader_guard_counts_what_the_read_allocates(edit, monkeypatch):
+    # under a budget that holds the 8 B a node of the value array but not
+    # the read, the guard names the read's bytes, which bound its peak
+    text = edit(field_to_text(kernel_field(disk_domain(1.0, h=1 / 64), 2, (0.0, 0.0))))
+    tracemalloc.start()
+    try:
+        field_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 8 * 129 * 129)
+    with pytest.raises(PreconditionError) as err:
+        field_from_text(text)
+    message = str(err.value)
+    assert message.startswith("reading 12,849 values of a 16,641-node lattice needs ")
+    named = int(message.split(" needs ")[1].split(" bytes")[0].replace(",", ""))
+    assert peak <= named <= 2 * peak
 
 
 def test_field_file_header_validation():

@@ -8,6 +8,7 @@ from subglue import (
     Ball,
     Box,
     ConvergenceError,
+    GridDomain,
     NodeSet,
     Point,
     PreconditionError,
@@ -353,6 +354,48 @@ def test_cg_below_roundoff_target_restarts_and_reports_true_residual():
     assert target < err.value.residual <= 1e-14
     # b - M u and the stencil sum round differently at this level
     assert true / 4 <= err.value.residual <= 4 * true
+
+
+def test_constant_data_over_the_whole_lattice_solve():
+    # only the outer ring is fixed, so the data range is 0; the target
+    # counts the extent with 0 and is not below roundoff
+    dom = GridDomain((-1, -1), 1 / 16, (33, 33), np.ones((33, 33), dtype=bool))
+    sol = solve_dirichlet(dom, np.full(dom.shape, 0.1))
+    assert np.all(sol.values == 0.1)
+
+
+def test_cg_with_one_fixed_node_converges():
+    # one fixed node and zero data beyond the lattice: the range is 0
+    values = np.zeros(7)
+    values[0] = -0.606
+    unknown = np.arange(7) > 0
+    expected = _dense_stencil_solve(values, unknown, 0.1, np.zeros(7))
+    residual, iterations = _cg_solve(values, unknown, 0.1, SolverParams())
+    assert 0 < iterations <= 6 and residual <= 1e-10 * 0.606
+    assert float(np.abs(values[unknown] - expected).max()) <= 1e-14
+
+
+def test_cg_with_zero_data_and_no_pole_returns_zero():
+    values = np.zeros((9, 8))
+    unknown = np.zeros(values.shape, dtype=bool)
+    unknown[1:-1, 1:-1] = True
+    values[unknown] = 0.3  # the initial guess
+    assert _cg_solve(values, unknown, 1 / 8, SolverParams()) == (0.0, 0)
+    assert np.all(values == 0.0)
+
+
+def test_solve_target_is_relative_to_the_extent_of_the_data_with_zero():
+    # x y + 1e4 on the boundary: the range is 0.78, the extent with 0 is
+    # 1e4, and the solve stops at rtol * 1e4, far above rtol * range
+    dom = rasterize_ball((0, 0), 0.9, origin=(-1, -1), spacing=1 / 32, shape=(65, 65))
+    grids = dom.coordinate_grids()
+    data = np.broadcast_to(grids[0] * grids[1] + 1e4, dom.shape).copy()
+    boundary = dom.mask & ~dom.interior_mask()
+    lo, hi = data[boundary].min(), data[boundary].max()
+    sol = solve_dirichlet(dom, data)
+    stencil = _neighbour_sum(sol.values, fill=0.0) - 4.0 * sol.values
+    residual = float(np.abs(stencil[dom.interior_mask()]).max())
+    assert 100 * 1e-10 * (hi - lo) < residual <= 1e-10 * hi
 
 
 # ---------------------------------------------------------------------------
