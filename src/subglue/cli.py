@@ -50,6 +50,13 @@ EXIT_INTERNAL = 5
 # config shape kind -> geometry shape; a "set" entry names an earlier mask
 _SHAPES = {"ball": Ball, "box": Box}
 
+# Peak bytes a lattice node of a whole run of a command, inputs, solves and
+# field.txt included: the tracemalloc peak of the README scenes (unit-ball
+# domains) in a fresh process, 123.4 / 75.7 / 106.1 B at 2049^2 and 69.7 /
+# 73.8 / 104.9 B at 129^3, rounded up.  Any other command is held to one
+# float64 array of the lattice.
+_LATTICE_BYTES = {"green": 124, "glue-green": 76, "glue-full": 107}
+
 
 class _Scene:
     """Resolved lattice, set masks and field recipes for one config."""
@@ -57,9 +64,12 @@ class _Scene:
     def __init__(self, cfg: SceneConfig, base_dir: str):
         self.cfg = cfg
         self.base_dir = base_dir
-        # fields and distance fields are float64 arrays of the whole lattice
+        # checked before the first lattice array is allocated
         nodes = math.prod(cfg.shape)
-        _require_memory(8 * nodes, f"a float64 array of the {nodes:,}-node lattice")
+        per_node = _LATTICE_BYTES.get(cfg.command, 8)
+        _require_memory(
+            per_node * nodes, f"{cfg.command} on the {nodes:,}-node lattice at {per_node} B a node"
+        )
         self.lattice = GridDomain(
             cfg.origin, cfg.spacing, cfg.shape, np.ones(cfg.shape, dtype=bool)
         )

@@ -7,16 +7,21 @@ positive definite Schur complement over the black unknowns (the "reduced
 system" of Hageman & Young, *Applied Iterative Methods*, 1981, ch. 9), with
 a quarter of the full Laplacian's condition number and so about half its
 iterations, and the red values are back-substituted.  The fixed data are
-folded into the right-hand side.  The system is assembled on the bounding
-box of the unknowns grown by one node, not on the whole lattice: row-major
-order in the box is the lattice's, so the numbering, the colours and every
-sum are the same, while the assembly for a small domain in a large lattice
-touches only the domain's box.  A solve stops once the max-norm of the
-stencil residual over both colours meets the target; the iteration is
-deterministic.  The Green's function of a domain D with pole o is obtained by
-solving the discrete Poisson problem with a normalized point source at the
-pole node and zero boundary values, which makes the result discretely
-harmonic away from the pole (up to the solver residual) and reproduces the
+folded into the right-hand side.  Every solve allocates only what lives on
+the box of its unknowns: the caller fills the fixed data in an array of the
+bounding box of the unknowns and any nonzero fixed data grown by one node,
+its start moved back a node when its index sum is odd, solves on that
+array, and only then places the result in a lattice array.  Row-major order
+in the box is the lattice's and so are its colours, so the numbering, the
+system and every sum are the same.  The red-to-black adjacency ``N`` is
+stored once, as CSR; ``N^T`` is its CSC view, whose product sums each row
+in the same order (Saad, *Iterative Methods for Sparse Linear Systems*,
+2003, ch. 3).  A solve stops once the max-norm of the stencil residual
+over both colours meets the target; the iteration is deterministic.  The
+Green's function of a domain D with pole o is obtained by solving the
+discrete Poisson problem with a normalized point source at the pole node
+and zero boundary values, which makes the result discretely harmonic away
+from the pole (up to the solver residual) and reproduces the
 ``-K_{d-2}(. , o) + O(1)`` profile of the continuum object near the pole.
 The pole node itself carries the solve's large finite value and stands in
 for +inf; it is excluded from every certification.
@@ -67,6 +72,25 @@ class SolverParams:
             raise PreconditionError("residual tolerance must be positive")
 
 
+def _solve_box(held: np.ndarray):
+    """The box a solve runs on: the bounding box of ``held`` grown by one
+    node (clipped to the lattice), its start moved back one node on the
+    first axis whose start is above 0 when the start's index sum is odd.
+
+    ``held`` holds the unknowns and every nonzero fixed value, so the box
+    holds every unknown, every fixed neighbour of one and every nonzero
+    datum.  Beyond it the lattice holds 0, which the stopping rule's extent
+    counts anyway; and with an even start the box's index parity is the
+    lattice's, so the colours, the system and every bit of a solve on the
+    box are those of the solve on the whole lattice.
+    """
+    box = list(_bounding_box(held, grow=1))
+    if sum(s.start for s in box) % 2:
+        k = next(k for k, s in enumerate(box) if s.start > 0)
+        box[k] = slice(box[k].start - 1, box[k].stop)
+    return tuple(box)
+
+
 def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
     """The stencil system on the unknowns, split by colour.
 
@@ -74,15 +98,17 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
     even; the 2d-point stencil couples only nodes of opposite colour.  The
     system is assembled on ``box``, the bounding box of the unknowns grown
     by one node (clipped to the lattice), which holds every unknown and
-    every fixed neighbour of one.  Returns ``(box, red, black, adj, adj_t,
-    b_red, b_black)``: the box (a tuple of slices of the lattice), the two
-    colour masks on the box, the 0/1 red-to-black adjacency ``N`` (CSR, rows
-    red and columns black, each colour numbered in row-major order, which
-    is the lattice's order) and ``N^T``, and the right-hand side of each
-    colour, which holds the sum of the fixed neighbour values (0 beyond the
-    lattice) minus, at the pole node, ``h^2 strength`` for ``pole = (node,
-    strength)`` (or None).  The full system is ``2d u_red - N u_black =
-    b_red`` and ``2d u_black - N^T u_red = b_black``.
+    every fixed neighbour of one.  Returns ``(box, red, black, adj, b_red,
+    b_black)``: the box (a tuple of slices of the lattice), the two colour
+    masks on the box, the 0/1 red-to-black adjacency ``N`` (CSR, rows red
+    and columns black, each colour numbered in row-major order, which is
+    the lattice's order; ``adj.T`` is ``N^T`` as a CSC view of the same
+    arrays), and the right-hand side of each colour, which holds the sum of
+    the fixed neighbour values (0 beyond the lattice) minus, at the pole
+    node, ``h^2 strength`` for ``pole = (node, strength)`` (or None).  The
+    full system is ``2d u_red - N u_black = b_red`` and ``2d u_black - N^T
+    u_red = b_black``.  The black numbering and the red neighbour table are
+    freed before the right-hand sides are summed.
     """
     # imported here, not at module level, so that importing subglue for
     # capacity or certification alone does not load scipy.sparse
@@ -101,13 +127,21 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
     # on the box padded by one node, the 2d neighbours of flat index i sit
     # at i + offsets, in ascending order; the pad stands for the nodes
     # beyond the lattice (unnumbered)
-    number = np.full(values.shape, -1, dtype=np.int32)
-    number[black] = np.arange(np.count_nonzero(black), dtype=np.int32)
-    number = np.pad(number, 1, constant_values=-1)
+    number = np.full(tuple(n + 2 for n in values.shape), -1, dtype=np.int32)
+    number[(slice(1, -1),) * values.ndim][black] = np.arange(
+        np.count_nonzero(black), dtype=np.int32
+    )
     strides = np.array(number.strides) // number.itemsize
     offsets = np.sort(np.concatenate([-strides, strides]))
-    # the unknown neighbours of a red node are all black
-    table = number.ravel()[np.flatnonzero(np.pad(red, 1))[:, None] + offsets]
+    # the unknown neighbours of a red node are all black; one column of the
+    # table at a time, so the only index temporary is one column's.  The pad
+    # keeps every index in range, so "clip" never clips and spares the
+    # buffered copy that "raise" makes of ``out``
+    at = np.flatnonzero(np.pad(red, 1))
+    table = np.empty((at.size, offsets.size), dtype=np.int32)
+    for j, offset in enumerate(offsets):
+        np.take(number, at + offset, out=table[:, j], mode="clip")
+    del number, at
     present = table >= 0
     indptr = np.zeros(table.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
@@ -115,6 +149,7 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
         (np.ones(int(indptr[-1])), table[present], indptr),
         shape=(table.shape[0], np.count_nonzero(black)),
     )
+    del table, present
     # the fixed neighbour sums, added from 0 in ascending offset order as a
     # row sum of the gathered neighbours adds them; an unknown neighbour
     # adds +0 and one beyond the lattice is skipped, both leaving every bit
@@ -124,9 +159,10 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
     for k, step in [*((k, -1) for k in axes), *((k, 1) for k in reversed(axes))]:
         dst, src, _ = _shift_slices(values.ndim, k, step)
         b[dst] += fixed[src]
-    if pole is not None:  # (node, strength), the node on the lattice
+    del fixed
+    if pole is not None:  # (node, strength), the node an index of values
         b[tuple(i - s.start for i, s in zip(pole[0], box))] -= (h * h) * pole[1]
-    return box, red, black, adj, adj.T.tocsr(), b[red], b[black]
+    return box, red, black, adj, b[red], b[black]
 
 
 def _cg_solve(
@@ -137,17 +173,20 @@ def _cg_solve(
     unknown ``node`` of ``pole = (node, strength)``.
 
     ``values`` enters with the fixed data preset and an initial guess on the
-    black unknowns; it is modified in place.  With ``D = 2d``, eliminating
-    the red unknowns, ``u_red = (b_red + N u_black) / D``, leaves the
-    symmetric positive definite Schur complement ``S = D I - N^T N / D`` on
-    the black ones, with right-hand side ``b_black + N^T b_red / D``.  Its
-    residual is the stencil residual on the black nodes once the red values
-    are back-substituted, and the red residual is then zero up to roundoff.
+    black unknowns; it is modified in place.  It may be the whole lattice or
+    a box of it from :func:`_solve_box`, whose colours are the lattice's;
+    both give the same bits.  ``N^T`` is ``adj.T``, the CSC view of ``N``'s
+    arrays, not a copy.  With ``D = 2d``, eliminating the red unknowns,
+    ``u_red = (b_red + N u_black) / D``, leaves the symmetric positive
+    definite Schur complement ``S = D I - N^T N / D`` on the black ones,
+    with right-hand side ``b_black + N^T b_red / D``.  Its residual is the
+    stencil residual on the black nodes once the red values are
+    back-substituted, and the red residual is then zero up to roundoff.
     Returns ``(residual, iterations)`` where the residual is
     ``max |sum(neighbours) - 2d u - h^2 f|`` over all the unknowns and
     the iterations are those of the reduced system.  The target is ``rtol``
     times the scale ``max(hi, 0) - min(lo, 0)``, where ``lo`` and ``hi``
-    bound the finite values on every node of the lattice that is not an
+    bound the finite values on every node of ``values`` that is not an
     unknown, raised to ``h^2 |strength|`` by a pole; a scale of 0 (zero
     data, no pole) sets the unknowns to 0 after no iteration.  A recurrence
     residual that meets the target is confirmed against the true residual
@@ -167,7 +206,10 @@ def _cg_solve(
         values[unknown] = 0.0
         return 0.0, 0
 
-    box, red, black, adj, adj_t, b_red, b_black = _red_black_system(values, unknown, h, pole)
+    box, red, black, adj, b_red, b_black = _red_black_system(values, unknown, h, pole)
+    # N^T as a CSC view of adj's arrays: its product sums each row from 0
+    # in ascending column order, as the product of a CSR copy would
+    adj_t = adj.T
     view = values[box]
     diag = 2.0 * values.ndim
 
@@ -249,13 +291,19 @@ def solve_dirichlet(
     bvals = boundary_values[boundary]
     if not np.all(np.isfinite(bvals)):
         raise PreconditionError("boundary values must be finite")
-    values = np.zeros(domain.shape)
-    values[boundary] = boundary_values[boundary]
-    values[interior] = float(bvals.mean())
-    _cg_solve(values, interior, domain.spacing, params)
+    # the whole domain's box: a boundary value that touches no interior node
+    # still counts in the stopping rule's extent
+    box = _solve_box(domain.mask)
+    unknown, active = interior[box], domain.mask[box]
+    values = np.zeros(unknown.shape)
+    values[active] = boundary_values[box][active]
+    values[unknown] = float(bvals.mean())
+    _cg_solve(values, unknown, domain.spacing, params)
     lo, hi = float(bvals.min()), float(bvals.max())
-    values[domain.mask] = np.clip(values[domain.mask], lo, hi)
-    return ScalarField(domain, values)
+    values[active] = np.clip(values[active], lo, hi)
+    out = np.zeros(domain.shape)
+    out[box] = values
+    return ScalarField(domain, out)
 
 
 @dataclass
@@ -368,13 +416,19 @@ def green_function(
         raise PreconditionError("domain has no interior nodes")
     pole_node, offset = _snap_pole(domain, interior, o)
     h = domain.spacing
-    values = np.zeros(domain.shape)
-    pole = (pole_node, -_source_strength(domain.dim) / h**domain.dim)
-    residual, iterations = _cg_solve(values, interior, h, params, pole=pole)
+    box = _solve_box(interior)
+    unknown = interior[box]
+    values = np.zeros(unknown.shape)
+    pole = (
+        tuple(i - s.start for i, s in zip(pole_node, box)),
+        -_source_strength(domain.dim) / h**domain.dim,
+    )
+    residual, iterations = _cg_solve(values, unknown, h, params, pole=pole)
     # the solve writes only interior nodes, so the rest of the lattice is 0
-    np.maximum(values, 0.0, out=values)
+    full = np.zeros(domain.shape)
+    np.maximum(values, 0.0, out=full[box])
     host = domain.full_lattice()
-    gfield = ScalarField(host, values)
+    gfield = ScalarField(host, full)
     return GreenField(
         field=gfield,
         pole=host.node_point(pole_node),
@@ -447,11 +501,13 @@ def harmonic_layer_continuation(
     ring_vals = v.values[ring.mask]
     if np.any(ring_vals == -np.inf):
         raise PreconditionError("-inf value on the layer's boundary ring")
-    values = np.zeros(v.domain.shape)
-    values[ring.mask] = v.values[ring.mask]
-    values[layer.mask] = float(ring_vals.mean())
-    residual, iterations = _cg_solve(values, layer.mask, v.domain.spacing, params)
-    solved = np.clip(values[layer.mask], ring_vals.min(), ring_vals.max())
+    box = _solve_box(layer.mask)
+    unknown, on_ring = layer.mask[box], ring.mask[box]
+    values = np.zeros(unknown.shape)
+    values[on_ring] = v.values[box][on_ring]
+    values[unknown] = float(ring_vals.mean())
+    residual, iterations = _cg_solve(values, unknown, v.domain.spacing, params)
+    solved = np.clip(values[unknown], ring_vals.min(), ring_vals.max())
     inside = v.values[layer.mask]
     out = v.values.copy()
     out[layer.mask] = np.maximum(solved, inside)

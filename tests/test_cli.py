@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subglue import parse_config, rasterize_ball, read_field
-from subglue.cli import main, render, run
+from subglue import PreconditionError, parse_config, rasterize_ball, read_field
+from subglue.cli import _LATTICE_BYTES, _Scene, main, render, run
 
 VERIFY_KERNEL = """
 grid {
@@ -623,6 +624,22 @@ command verify {
 }
 """
 
+
+def _demo_scene(name, n, command=None):
+    """A demo config over [-1, 1]^d with ``n`` nodes an axis, its command
+    block replaced by ``command`` if given."""
+    import pathlib
+    import re
+
+    text = (pathlib.Path(__file__).parent.parent / "demos" / "scene_configs" / name).read_text()
+    d = len(re.search(r"shape( \d+)+", text).group(0).split()) - 1
+    text = re.sub(r"shape( \d+)+", "shape" + f" {n}" * d, text)
+    text = re.sub(r"spacing \S+", f"spacing {2 / (n - 1)!r}", text)
+    if command is not None:
+        text = text[: text.index("command ")] + command
+    return text
+
+
 # runs main() with the address space capped at 1 GiB, so an allocation that
 # skipped its guard fails at once with a MemoryError traceback (exit 1)
 # instead of reserving tens of gigabytes
@@ -644,8 +661,10 @@ sys.exit(main(sys.argv[1:]))
             "1,600,000,000,000 bytes",  # the (count, 2) float64 sample
         ),
         (HUGE_GRID, "320,000,000,000 bytes"),  # one float64 lattice array
+        # the README disk at 4097^2: 107 B a node for a glue-full run
+        (_demo_scene("glue_full_disk.cfg", 4097), "1,796,038,763 bytes"),
     ],
-    ids=["circle-sampler", "lattice"],
+    ids=["circle-sampler", "lattice", "readme-disk-4097"],
 )
 def test_config_sized_allocation_is_guarded(tmp_path, text, nbytes):
     cfg = write_cfg(tmp_path, text)
@@ -671,6 +690,60 @@ def test_2049_lattice_passes_the_lattice_guard(tmp_path):
     cfg = write_cfg(tmp_path, text)
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 0
+
+
+def test_lattice_budget_is_checked_before_the_lattice_is_allocated(tmp_path):
+    # one float64 array of the 4097^2 lattice would take 134 MB
+    cfg = parse_config(_demo_scene("glue_full_disk.cfg", 4097))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as err:
+            run(cfg, out_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(
+        "glue-full on the 16,785,409-node lattice at 107 B a node needs 1,796,038,763 bytes"
+    )
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("name, n", [("glue_full_disk.cfg", 2049), ("glue_full_ball3d.cfg", 129)])
+def test_lattice_budget_admits_the_large_demo_scenes(name, n):
+    _Scene(parse_config(_demo_scene(name, n)), ".")
+
+
+GREEN_COMMAND = {
+    2: "command green {\n  domain O\n  pole 0 0\n  S0 S0\n}\n",
+    3: "command green {\n  domain O\n  pole 0 0 0\n  S0 S0\n}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, n, warm, command",
+    [
+        ("glue_full_disk.cfg", 257, 65, None),
+        ("glue_green_disk.cfg", 257, 65, None),
+        ("glue_full_disk.cfg", 257, 65, GREEN_COMMAND[2]),
+        ("glue_full_ball3d.cfg", 65, 41, None),
+        ("glue_full_ball3d.cfg", 65, 41, GREEN_COMMAND[3]),
+    ],
+    ids=["glue-full-2d", "glue-green-2d", "green-2d", "glue-full-3d", "green-3d"],
+)
+def test_lattice_budget_bounds_the_peak_of_a_run(tmp_path, name, n, warm, command):
+    # the peak past the imports: the smaller scene loads scipy first, even
+    # where its lattice is too coarse for the command to finish
+    warm_cfg = write_cfg(tmp_path, _demo_scene(name, warm, command))
+    main(["--config", str(warm_cfg), "--out", str(tmp_path / "warm"), "--quiet"])
+    cfg = parse_config(_demo_scene(name, n, command))
+    tracemalloc.start()
+    try:
+        report = run(cfg, out_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["exit_status"] == 0
+    assert peak <= _LATTICE_BYTES[cfg.command] * n ** len(cfg.shape)
 
 
 def test_capacity_n_is_required_only_by_fekete(tmp_path, capsys):

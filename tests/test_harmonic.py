@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from subglue import (
     solve_dirichlet,
 )
 
+from subglue import harmonic
 from subglue.field import _neighbour_sum
-from subglue.harmonic import _cg_solve, _red_black_system, _snap_pole
+from subglue.geometry import _bounding_box
+from subglue.harmonic import _cg_solve, _red_black_system, _snap_pole, _source_strength
 
 from conftest import annulus_domain, disk_domain, log_field
 
@@ -593,12 +596,16 @@ def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, las
         full = np.zeros(shape, dtype=bool)
         full[box] = colour
         assert np.array_equal(full, ref)
-    for matrix, ref in zip(system[2:4], expected[2:4]):
-        assert matrix.shape == ref.shape
-        assert np.array_equal(matrix.indptr, ref.indptr)
-        assert np.array_equal(matrix.indices, ref.indices)
-        assert np.array_equal(matrix.data, ref.data)
-    for rhs, ref in zip(system[4:], expected[4:]):
+    adj, ref = system[2], expected[2]
+    assert adj.shape == ref.shape
+    assert np.array_equal(adj.indptr, ref.indptr)
+    assert np.array_equal(adj.indices, ref.indices)
+    assert np.array_equal(adj.data, ref.data)
+    # N^T is adj's CSC view: its product is the CSR transpose's, bit for bit
+    y = rng.uniform(-1.0, 1.0, adj.shape[0])
+    y[rng.random(y.size) < 0.2] = -0.0
+    assert (adj.T @ y).tobytes() == (expected[3] @ y).tobytes()
+    for rhs, ref in zip(system[3:], expected[4:]):
         assert np.array_equal(rhs, ref)
         assert np.array_equal(np.signbit(rhs), np.signbit(ref))
 
@@ -651,3 +658,113 @@ def test_pole_snap_on_a_box_matches_the_whole_lattice(d):
     assert 16 <= found <= len(poles) - 5
     with pytest.raises(PreconditionError, match="pole does not lie inside the domain"):
         green_function(dom, np.full(d, -1e300))
+
+
+# ---------------------------------------------------------------------------
+# the public solves on the unknowns' box against a whole-lattice solve
+# ---------------------------------------------------------------------------
+
+# (shape, first and last index of the domain's box, parities of the index
+# sums of the grown box starts of the interior and of the domain): boxes
+# that reach the near or the far lattice edge or neither, starting on
+# either colour
+SOLVE_BOXES = [
+    ((40,), (0,), (25,), 0, 0),
+    ((40,), (7,), (39,), 1, 0),
+    ((40,), (4,), (30,), 0, 1),
+    ((17, 15), (0, 4), (10, 14), 0, 1),
+    ((17, 15), (3, 4), (16, 11), 1, 1),
+    ((17, 15), (2, 4), (12, 12), 0, 0),
+    ((9, 8, 10), (0, 0, 1), (8, 5, 9), 1, 0),
+    ((9, 8, 10), (1, 1, 2), (6, 7, 9), 0, 1),
+    ((9, 8, 10), (1, 2, 2), (7, 6, 8), 1, 0),
+]
+
+
+def _seeded_box_domain(shape, first, last, rng):
+    """A connected domain filling the box ``[first, last]`` but for a
+    tenth of its nodes.  Beyond 1-d, the box's first two slabs along the
+    first axis shrink to a one-node stub: its nodes are boundary nodes that
+    touch no interior node, so they lie beyond the interior's grown box."""
+    inside = np.zeros(shape, dtype=bool)
+    inside[tuple(slice(a, b + 1) for a, b in zip(first, last))] = True
+    mask = inside.copy()
+    if len(shape) > 1:
+        mask &= rng.random(shape) >= 0.1
+        mask[first[0] : first[0] + 2] = False
+        mask[(slice(first[0], first[0] + 2), *first[1:])] = True
+    dom = GridDomain((0.0,) * len(shape), 1 / 16, shape, mask)
+    assert dom.component_count() == 1
+    return dom
+
+
+@pytest.mark.parametrize("shape, first, last, parity, domain_parity", SOLVE_BOXES)
+def test_solves_on_the_box_match_the_whole_lattice(
+    shape, first, last, parity, domain_parity, monkeypatch
+):
+    rng = np.random.default_rng(sum(first) + sum(last))
+    dom = _seeded_box_domain(shape, first, last, rng)
+    h, params = dom.spacing, SolverParams()
+    interior = dom.interior_mask()
+    for held, odd in [(interior, parity), (dom.mask, domain_parity)]:
+        assert sum(s.start for s in _bounding_box(held, grow=1)) % 2 == odd
+
+    # Green's function: a zero lattice and the pole as one node
+    node = tuple(np.argwhere(interior)[rng.integers(interior.sum())])
+    g = green_function(dom, dom.node_point(node), params)
+    expected = np.zeros(shape)
+    strength = -_source_strength(len(shape)) / h ** len(shape)
+    assert (g.residual, g.iterations) == _cg_solve(
+        expected, interior, h, params, pole=(node, strength)
+    )
+    assert g.values.tobytes() == np.maximum(expected, 0.0).tobytes()
+
+    # Dirichlet data with a large value on the stub, which sets the
+    # stopping rule's extent from beyond the interior's grown box
+    data = rng.uniform(-1.0, 1.0, shape)
+    data[first] = 50.0
+    boundary = dom.mask & ~interior
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(_cg_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(harmonic, "_cg_solve", recording)
+    got = solve_dirichlet(dom, data, params).values
+    expected = np.zeros(shape)
+    expected[boundary] = data[boundary]
+    expected[interior] = data[boundary].mean()
+    assert solves == [_cg_solve(expected, interior, h, params)]
+    expected[dom.mask] = np.clip(expected[dom.mask], data[boundary].min(), data[boundary].max())
+    assert got.tobytes() == ScalarField(dom, expected).values.tobytes()
+
+    # continuation on a random part of the interior
+    v = ScalarField(dom, data)
+    layer = NodeSet(dom, interior & (rng.random(shape) < 0.6))
+    res = harmonic_layer_continuation(v, layer, params)
+    ring = layer.adjacent("axis").mask
+    expected = np.zeros(shape)
+    expected[ring] = data[ring]
+    expected[layer.mask] = data[ring].mean()
+    assert (res.residual, res.iterations) == _cg_solve(expected, layer.mask, h, params)
+    solved = np.clip(expected[layer.mask], data[ring].min(), data[ring].max())
+    expected = v.values.copy()
+    expected[layer.mask] = np.maximum(solved, data[layer.mask])
+    assert res.field.values.tobytes() == ScalarField(dom, expected).values.tobytes()
+
+
+def test_green_solve_peak_memory_lives_on_the_box():
+    # the 65^3 ball of radius 0.75: the lattice is 2.2 MB a float64 array,
+    # and a solve that held the whole lattice and a copy of N^T peaked at
+    # 10.0 MB
+    h = 1 / 32
+    dom = rasterize_ball((0, 0, 0), 0.75, origin=(-1, -1, -1), spacing=h, shape=(65,) * 3)
+    green_function(dom, (0.0, 0.0, 0.0))  # scipy.sparse loads outside the trace
+    tracemalloc.start()
+    try:
+        green_function(dom, (0.0, 0.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_000_000

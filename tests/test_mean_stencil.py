@@ -477,7 +477,9 @@ command glue-full {
 def test_fft_screen_over_the_memory_budget_exits_precondition(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text(GLUE_FULL_SMALL)
-    # the 65 x 65 lattice array (33,800 B) fits; the screen's padded box does not
+    # the command's lattice budget held to one float64 array (33,800 B)
+    # fits; the screen's padded box does not
+    monkeypatch.setattr(cli, "_LATTICE_BYTES", {})
     monkeypatch.setattr(errors, "_MEMORY_BUDGET", 40_000)
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
     err = capsys.readouterr().err
