@@ -52,10 +52,10 @@ _SHAPES = {"ball": Ball, "box": Box}
 
 # Peak bytes a lattice node of a whole run of a command, inputs, solves and
 # field.txt included: the tracemalloc peak of the README scenes (unit-ball
-# domains) in a fresh process, 123.4 / 75.7 / 106.1 B at 2049^2 and 69.7 /
-# 73.8 / 104.9 B at 129^3, rounded up.  Any other command is held to one
+# domains) in a fresh process, 82.3 / 57.3 / 64.5 B at 2049^2 and 68.7 /
+# 56.5 / 65.8 B at 129^3, rounded up.  Any other command is held to one
 # float64 array of the lattice.
-_LATTICE_BYTES = {"green": 124, "glue-green": 76, "glue-full": 107}
+_LATTICE_BYTES = {"green": 83, "glue-green": 58, "glue-full": 66}
 
 
 class _Scene:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import PreconditionError, _require_memory
 from .extreal import ExtReal
 from .geometry import (
+    _SLAB_NODES,
     GridDomain,
     NodeSet,
     _bounding_box,
@@ -50,9 +51,11 @@ __all__ = [
 
 _WEIGHT_EPS = 1e-12
 # Sphere sample points handled per block of mean_inf_constant centres.  One
-# block's corner arrays hold at most this many points times 2**d entries,
-# which with a few lattice-sized arrays bounds the stage's memory.
-_MEAN_BLOCK_POINTS = 2**15
+# block's corner arrays hold at most this many points times 2**d entries of
+# 8 bytes: with 256 samples in 2-d, each of the three is 256 KiB, a few
+# bytes a node of a 257^2 lattice beside the stage's lattice-sized arrays.
+# Each centre's row is summed on its own, so the block size moves no bit.
+_MEAN_BLOCK_POINTS = 2**13
 # The mean stage's screen.  A centre is recomputed exactly when its screened
 # mean is within twice _SCREEN_SLACK times the largest |value| of the least
 # one, or when one of its samples has active corners weighing less than
@@ -140,6 +143,20 @@ def check_on(
     return check(name, tag, worst, tol, where, kind, **details)
 
 
+def _require_field_values(domain: GridDomain, values: np.ndarray):
+    """Reject a value array of another shape than the lattice's, or one with
+    NaN or +inf on an active node."""
+    if values.shape != domain.shape:
+        raise PreconditionError("value array shape does not match grid")
+    # one masked reduction: a NaN propagates through the max, so a NaN is
+    # reported even where +inf occurs too
+    top = values.max(where=domain.mask, initial=-np.inf)
+    if np.isnan(top):
+        raise PreconditionError("NaN value on an active node")
+    if top == np.inf:
+        raise PreconditionError("+inf is not an allowed field value")
+
+
 class ScalarField:
     """Values (finite or -inf) on the active nodes of a grid domain.
 
@@ -149,19 +166,32 @@ class ScalarField:
 
     def __init__(self, domain: GridDomain, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        if values.shape != domain.shape:
-            raise PreconditionError("value array shape does not match grid")
-        vals = np.where(domain.mask, values, np.nan)
-        # one masked reduction: a NaN propagates through the max, so a NaN is
-        # reported even where +inf occurs too
-        top = values.max(where=domain.mask, initial=-np.inf)
-        if np.isnan(top):
-            raise PreconditionError("NaN value on an active node")
-        if top == np.inf:
-            raise PreconditionError("+inf is not an allowed field value")
+        _require_field_values(domain, values)
         self.domain = domain
-        self.values = vals
+        self.values = np.where(domain.mask, values, np.nan)
         self.values.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, domain: GridDomain, values: np.ndarray) -> "ScalarField":
+        """The field whose value array is ``values`` itself, a float64
+        lattice array that its caller has just built and uses no further:
+        the checks are the constructor's, NaN is written off the mask in
+        place and the array is made read-only, so no copy is made."""
+        _require_field_values(domain, values)
+        np.copyto(values, np.nan, where=~domain.mask)
+        values.setflags(write=False)
+        return cls._sharing(domain, values)
+
+    @classmethod
+    def _sharing(cls, domain: GridDomain, values: np.ndarray) -> "ScalarField":
+        """The field on ``domain`` whose value array is the read-only lattice
+        array ``values`` itself, unchecked and uncopied.  Off the mask it
+        holds whatever ``values`` holds there, not NaN, so such a field may
+        go only to a callee that reads it on its mask alone."""
+        field = cls.__new__(cls)
+        field.domain = domain
+        field.values = values
+        return field
 
     # -- constructors -------------------------------------------------
 
@@ -573,6 +603,11 @@ def _laplacian(values: np.ndarray, mask: np.ndarray, h: float):
     interest grown by one node, their entries are those of the whole
     lattice.
 
+    The stencil is formed in the neighbour-sum array: ``2d u`` is
+    subtracted in row slabs of about ``_SLAB_NODES`` nodes, so the only
+    other float array is one slab, and every entry takes the operations of
+    ``(sum - 2d u) / h**2`` in that order.
+
     IEEE arithmetic gives -inf for a -inf neighbour of a finite centre and
     +inf for a -inf centre among finite neighbours.  Only the non-finite
     stencils are looked at again: one with a -inf centre is pinned to +inf
@@ -580,9 +615,13 @@ def _laplacian(values: np.ndarray, mask: np.ndarray, h: float):
     the finite neighbours overflow), and any other overflowed: NaN."""
     interior = _interior_mask(mask)
     twod = 2.0 * values.ndim
+    rows = max(1, _SLAB_NODES // max(1, math.prod(values.shape[1:])))
     with np.errstate(over="ignore", invalid="ignore"):
-        lap = (_neighbour_sum(values) - twod * values) / h**2
-    lap = np.where(interior, lap, np.nan)
+        lap = _neighbour_sum(values)
+        for start in range(0, len(values), rows):
+            lap[start : start + rows] -= twod * values[start : start + rows]
+        lap /= h**2
+    np.copyto(lap, np.nan, where=~interior)
     nodes = np.nonzero(interior & ~np.isfinite(lap))
     centre = values[nodes] == -np.inf
     touch = centre.copy()
@@ -661,8 +700,12 @@ def is_subharmonic(
         tested &= ~exclude.mask[box]
     skipped = tested & np.isinf(lap)
     tested &= ~skipped
+    violation = lap[tested]
+    del lap
+    np.negative(violation, out=violation)
+    np.maximum(0.0, violation, out=violation)
     return check_on(
-        name, tag, np.maximum(0.0, -lap[tested]), tested, tol, box=box,
+        name, tag, violation, tested, tol, box=box,
         tested_nodes=int(tested.sum()), minus_inf_skipped=int(skipped.sum()),
     )
 

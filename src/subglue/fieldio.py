@@ -17,7 +17,8 @@ row-major order, one per line, written with ``repr`` so the round trip is
 bit-exact; ``-inf`` is the literal minus-infinity.  The writer calls ``repr``
 once per distinct float64 bit pattern and reuses the string for every node
 that holds it; the bits keep ``-0.0``, ``0.0`` and ``-inf`` apart, so the
-bytes are those of one ``repr`` per node.
+bytes are those of one ``repr`` per node.  ``write_field`` writes the text
+piece by piece, so it never holds the whole of it.
 """
 
 from __future__ import annotations
@@ -49,15 +50,17 @@ __all__ = [
 ]
 
 
-def write_text_atomic(path, text: str | bytes):
-    """Write via a temp file in the same directory plus rename, so readers
-    never observe a half-written file; bytes are written as they are."""
+def write_text_atomic(path, text):
+    """Write ``text``, a str, bytes or an iterable of str pieces written one
+    after another, via a temp file in the same directory plus rename, so
+    readers never observe a half-written file; bytes are written as they
+    are."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, (str, bytes)) else text)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -83,22 +86,37 @@ def _rle_decode(runs, total: int) -> np.ndarray:
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
 
 
-def field_to_text(v: ScalarField) -> str:
+# lines in one piece of a field file's value block
+_LINES_PER_PIECE = 2**12
+
+
+def _field_pieces(v: ScalarField):
+    """The text of a field file in pieces: the header, then the value block
+    in slices of ``_LINES_PER_PIECE`` lines."""
     dom = v.domain
-    lines = [
+    header = [
         f"dim {dom.dim}",
         "shape " + " ".join(str(n) for n in dom.shape),
         "origin " + " ".join(repr(c) for c in dom.origin.coords),
         f"spacing {dom.spacing!r}",
         "mask rle " + " ".join(str(r) for r in _rle_encode(dom.mask.ravel())),
     ]
+    yield "\n".join(header) + "\n"
     # repr depends only on a value's bits, so each distinct bit pattern is
     # formatted once and the strings are gathered back in row-major order;
     # tolist() yields Python floats, whose repr round-trips bit-exactly
     bits, where = np.unique(v.values[dom.mask].view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    lines.extend(texts[where].tolist())
-    return "\n".join(lines) + "\n"
+    texts = np.empty(bits.size, dtype=object)
+    for start in range(0, bits.size, _LINES_PER_PIECE):
+        part = bits[start : start + _LINES_PER_PIECE].view(np.float64).tolist()
+        texts[start : start + _LINES_PER_PIECE] = list(map(repr, part))
+    del bits
+    for start in range(0, where.size, _LINES_PER_PIECE):
+        yield "\n".join(texts[where[start : start + _LINES_PER_PIECE]].tolist()) + "\n"
+
+
+def field_to_text(v: ScalarField) -> str:
+    return "".join(_field_pieces(v))
 
 
 # the line boundaries of str.splitlines
@@ -231,7 +249,9 @@ def field_from_text(text: str) -> ScalarField:
 
 
 def write_field(v: ScalarField, path):
-    write_text_atomic(path, field_to_text(v))
+    """Write the text of :func:`field_to_text` piece by piece, never holding
+    all of it."""
+    write_text_atomic(path, _field_pieces(v))
 
 
 def read_field(path) -> ScalarField:

@@ -12,6 +12,8 @@ and boundary nodes, while the Moore neighbourhood (8 neighbours in 2-d, 26 in
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,6 +139,12 @@ class Box:
         return inside
 
 
+# Nodes in one row slab of a lattice-wide float computation done slab by
+# slab, so that its temporaries stay a few bytes a node at 257^2 and less
+# on larger lattices.
+_SLAB_NODES = 2**14
+
+
 def _bounding_box(mask: np.ndarray, grow: int = 0):
     """Slices of the smallest box that holds the mask's members, grown by
     ``grow`` nodes on every side and clipped to the lattice; None for an
@@ -154,6 +162,18 @@ def _bounding_box(mask: np.ndarray, grow: int = 0):
             return None
         box.append(slice(max(int(hit[0]) - grow, 0), min(int(hit[-1]) + 1 + grow, n)))
     return tuple(box)
+
+
+def _distance2(domain: "GridDomain", p, box) -> np.ndarray:
+    """Squared distance to point ``p`` from the nodes of ``box``, a tuple of
+    slices of the lattice: the axes' squares summed from 0 in axis order,
+    so each entry is that of the whole lattice."""
+    d2 = 0.0
+    for k, s in enumerate(box):
+        c = domain.axis_coords(k)[s]
+        axis = [c.size if j == k else 1 for j in range(domain.dim)]
+        d2 = d2 + (c.reshape(axis) - p[k]) ** 2
+    return d2
 
 
 def _shift_slices(ndim: int, axis: int, step: int):
@@ -276,11 +296,7 @@ class GridDomain:
 
     def distance2_to(self, p) -> np.ndarray:
         """Squared distance from every lattice node to point ``p``."""
-        p = as_point(p)
-        d2 = np.zeros(self.shape)
-        for k, c in enumerate(self.coordinate_grids()):
-            d2 = d2 + (c - p[k]) ** 2
-        return d2
+        return _distance2(self, as_point(p), tuple(slice(0, n) for n in self.shape))
 
     def interior_mask(self) -> np.ndarray:
         """Active nodes whose 2d axis neighbours are all active."""
@@ -293,7 +309,11 @@ class GridDomain:
         return GridDomain(self.origin, self.spacing, self.shape, mask)
 
     def full_lattice(self) -> "GridDomain":
-        return self.with_mask(np.ones(self.shape, dtype=bool))
+        """The lattice with every node active.  Its mask is a read-only
+        broadcast of one True, which holds no lattice-sized array."""
+        full = copy.copy(self)
+        full.mask = np.broadcast_to(True, self.shape)
+        return full
 
     def node_set(self, mask: np.ndarray) -> "NodeSet":
         return NodeSet(self, mask)
@@ -329,12 +349,30 @@ class NodeSet:
         """Euclidean distance from every lattice node to the nearest member
         (0 on members), read-only.  Computed once per node set: the mask and
         the lattice are frozen, so every parallel set of this set thresholds
-        the same field."""
+        the same field.
+
+        scipy's feature transform names each node's nearest member; the
+        distances are formed from it as ``distance_transform_edt`` forms
+        them (each axis offset scaled by ``h`` and squared, the squares
+        summed in axis order, the root taken), bit for bit, but one row
+        slab at a time, so no float array of d lattices is made."""
         from scipy import ndimage
         if self.is_empty():
             raise PreconditionError("distance to an empty node set")
         dom = self.domain
-        dist = ndimage.distance_transform_edt(~self.mask, sampling=[dom.spacing] * dom.dim)
+        nearest = ndimage.distance_transform_edt(
+            ~self.mask, sampling=[dom.spacing] * dom.dim,
+            return_distances=False, return_indices=True,
+        )
+        dist = np.empty(dom.shape)
+        rows = max(1, _SLAB_NODES // math.prod(dom.shape[1:]))
+        for start in range(0, dom.shape[0], rows):
+            slab = (slice(start, min(start + rows, dom.shape[0])), *map(slice, dom.shape[1:]))
+            total = 0.0
+            for k, index in enumerate(np.ogrid[slab]):
+                offset = (nearest[k][slab] - index) * dom.spacing
+                total = total + offset * offset
+            dist[slab] = np.sqrt(total)
         dist.setflags(write=False)
         return dist
 

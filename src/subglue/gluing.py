@@ -41,7 +41,16 @@ from .field import (
     mean_inf_constant,
     neighbour_max,
 )
-from .geometry import GridDomain, NodeSet, as_point, dist_to_complement, parallel_set, regularized_domain
+from .geometry import (
+    GridDomain,
+    NodeSet,
+    _bounding_box,
+    _distance2,
+    as_point,
+    dist_to_complement,
+    parallel_set,
+    regularized_domain,
+)
 from .harmonic import (
     ContinuationResult,
     GreenField,
@@ -157,11 +166,12 @@ _SLOPE_REL_TOL = 0.05
 
 
 def _one_sided_violation(lhs, rhs) -> np.ndarray:
-    """Violation of ``lhs <= rhs``, either side a scalar or an array: IEEE
-    makes -inf the bottom element, and ``fmax`` reads the NaN of the one
-    undefined form, -inf - (-inf), as no violation."""
+    """Violation of ``lhs <= rhs``, either side (not both) a scalar or an
+    array: IEEE makes -inf the bottom element, and ``fmax`` reads the NaN of
+    the one undefined form, -inf - (-inf), as no violation."""
     with np.errstate(invalid="ignore"):
-        return np.fmax(lhs - rhs, 0.0)
+        violation = np.subtract(lhs, rhs)
+    return np.fmax(violation, 0.0, out=violation)
 
 
 def _bound(name, tag, lhs, rhs, mask, tol, kind="conclusion", count=None, **details):
@@ -179,20 +189,23 @@ def _equal(name, tag, a, b, mask, tol=0.0, kind="conclusion", count="region_node
     ``|a - b|`` is 0 for -inf against -inf (a NaN that ``fmax`` reads as 0)
     and for +0.0 against -0.0.  At the default ``tol`` of 0 it fails exactly
     when the values differ."""
+    violation = a[mask]
     with np.errstate(invalid="ignore"):
-        violation = np.abs(a[mask] - b[mask])
+        violation -= b[mask]
+    np.abs(violation, out=violation)
     np.fmax(violation, 0.0, out=violation)
     return check_on(name, tag, violation, mask, tol, kind, **{count: int(mask.sum())})
 
 
-def _max_glue(domain, first, first_mask, second, second_mask) -> ScalarField:
-    """The field on ``first_mask | second_mask`` over ``domain``'s lattice:
-    ``first`` where only it lives, ``second`` where only it lives and
-    ``np.maximum(first, second)`` on the overlap.  The operand order decides
-    which zero a tie of +0.0 and -0.0 keeps."""
+def _max_glue(domain, first, first_mask, second, overlap) -> ScalarField:
+    """The field on ``domain``, whose mask is the union of ``first``'s mask
+    ``first_mask`` and ``second``'s: ``first`` where only it lives,
+    ``second`` where only it lives and ``np.maximum(first, second)`` on the
+    ``overlap`` of the two masks.  The operand order decides which zero a
+    tie of +0.0 and -0.0 keeps.  The field adopts the array it builds."""
     vals = np.where(first_mask, first, second)
-    np.maximum(first, second, out=vals, where=first_mask & second_mask)
-    return ScalarField(domain.with_mask(first_mask | second_mask), vals)
+    np.maximum(first, second, out=vals, where=overlap)
+    return ScalarField._adopt(domain, vals)
 
 
 def _overlap_interfaces(v: ScalarField, v0: ScalarField) -> tuple:
@@ -221,17 +234,20 @@ def _pole_slope_report(name, tag, glued, green, region_mask, target):
     """Least-squares slope of the glued field against ``-k_{d-2}(|x - o|)``
     over the region's part of the ring ``2h <= |x - o| <= 8h``, checked
     relative to ``target``; a ring of fewer than 8 nodes (or with no spread
-    in the profile) is too thin to regress and fails."""
+    in the profile) is too thin to regress and fails.  Distances are
+    measured on the region's bounding box, whose row-major order is the
+    lattice's."""
     lattice = glued.domain
     h = lattice.spacing
-    r = np.sqrt(lattice.distance2_to(green.pole))
-    ring = region_mask & (r >= 2.0 * h * (1 - 1e-12)) & (r <= 8.0 * h * (1 + 1e-12))
+    box = _bounding_box(region_mask) or (slice(0, 0),) * lattice.dim
+    r = np.sqrt(_distance2(lattice, green.pole, box))
+    ring = region_mask[box] & (r >= 2.0 * h * (1 - 1e-12)) & (r <= 8.0 * h * (1 + 1e-12))
     n = int(ring.sum())
     x = -kernel_k(lattice.dim - 2, r[ring])
     vx = float(np.var(x)) if n >= 8 else 0.0
     if vx == 0.0:
         return check(name, tag, math.inf, _SLOPE_REL_TOL, ring_nodes=n, reason="ring too thin")
-    y = glued.values[ring]
+    y = glued.values[box][ring]
     slope = float(np.mean((x - x.mean()) * (y - y.mean())) / vx)
     worst = abs(slope - target) / max(abs(target), 1e-300)
     return check(name, tag, worst, _SLOPE_REL_TOL, ring_nodes=n, slope=slope, target=target)
@@ -304,6 +320,7 @@ def glue_basic(
         )
     ]
 
+    # u0 lives inside u's domain, which is then the glued field's
     glued = _max_glue(u.domain, u.values, o_mask, u0.values, o0_mask)
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
@@ -369,7 +386,9 @@ def glue_two(
         )
     )
 
-    glued = _max_glue(v.domain, v.values, o_mask, v0.values, o0_mask)
+    glued = _max_glue(
+        v.domain.with_mask(o_mask | o0_mask), v.values, o_mask, v0.values, overlap_set.mask
+    )
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
     reports += [
@@ -403,8 +422,12 @@ def quantitative_v0(g: ScalarField, c: GlueConstants) -> ScalarField:
     if scale == 0.0:
         vals = np.zeros(g.domain.shape)
     else:
-        vals = scale * (2.0 * g.values - c.M_g - c.m_g)
-    return ScalarField(g.domain, vals)
+        # in place, each entry taking scale * (2 g - M_g - m_g) in that order
+        vals = np.multiply(g.values, 2.0)
+        vals -= c.M_g
+        vals -= c.m_g
+        vals *= scale
+    return ScalarField._adopt(g.domain, vals)
 
 
 def glue_quantitative(
@@ -483,8 +506,8 @@ def glue_quantitative(
 def _green_preamble(v: ScalarField, s0: NodeSet, o, params, *domains) -> tuple:
     """The checks shared by the Green gluings: the pole's dimension, one
     lattice for ``v``, the core and ``domains``, and ``v`` defined off the
-    core.  Returns the solver parameters (defaulted), the ambient mask
-    (``v``'s domain plus the core) and the ambient domain."""
+    core.  Returns the solver parameters (defaulted) and the ambient domain,
+    ``v``'s domain plus the core."""
     lattice = v.domain
     if as_point(o).dim != lattice.dim:
         raise PreconditionError("pole dimension does not match the grid")
@@ -492,8 +515,40 @@ def _green_preamble(v: ScalarField, s0: NodeSet, o, params, *domains) -> tuple:
         lattice.require_same_lattice(other)
     if np.any(lattice.mask & s0.mask):
         raise PreconditionError("field must be defined off the core set")
-    o_mask = lattice.mask | s0.mask
-    return params or SolverParams(), o_mask, lattice.with_mask(o_mask)
+    return params or SolverParams(), lattice.with_mask(lattice.mask | s0.mask)
+
+
+def _require_green_chain(ambient: GridDomain, s0: NodeSet, s: NodeSet, d_domain, o):
+    """The hard preconditions of the Green gluing: the inclusion chain
+    ``o in Int s0``, ``s0`` compactly inside ``s``, ``s`` inside the ambient
+    domain (tag ``"4.3"``), and the sandwich ``s0`` compactly inside
+    ``d_domain`` compactly inside ``s`` (tag ``"4.3'"``)."""
+    try:
+        # the lattice node nearest the pole, snapped as green_function snaps
+        pole_node = _snap_pole(ambient, np.broadcast_to(True, ambient.shape), as_point(o))[0]
+    except PreconditionError:  # the pole lies beyond the lattice
+        pole_node = None
+    if pole_node is None or not s0.interior().mask[pole_node]:
+        raise PreconditionError(
+            "pole does not lie in the grid interior of the core set", tag="4.3"
+        )
+    if not s0.compactly_inside(s):
+        raise PreconditionError(
+            "core set is not compactly inside the intermediate set", tag="4.3"
+        )
+    if np.any(s.mask & ~ambient.mask):
+        raise PreconditionError(
+            "intermediate set leaves the ambient domain", tag="4.3"
+        )
+    d_set = NodeSet(ambient, d_domain.mask)
+    if not s0.compactly_inside(d_set):
+        raise PreconditionError(
+            "core set is not compactly inside the Green domain", tag="4.3'"
+        )
+    if not d_set.compactly_inside(s):
+        raise PreconditionError(
+            "Green domain is not compactly inside the intermediate set", tag="4.3'"
+        )
 
 
 def glue_green(
@@ -526,38 +581,11 @@ def glue_green(
     harmonic (``"4.5h"``) and nonnegative (``"4.5+"``) on the core, and has
     pole slope ``2 * scale`` against the kernel profile (``"4.5o"``).
     """
-    params, o_mask, _ = _green_preamble(v, s0, o, params, s.domain, d_domain)
-    lattice = v.domain
+    params, ambient = _green_preamble(v, s0, o, params, s.domain, d_domain)
+    _require_green_chain(ambient, s0, s, d_domain, o)
 
-    # inclusion chain: o in Int s0, s0 compactly inside s, s inside ambient
-    try:
-        # the lattice node nearest the pole, snapped as green_function snaps
-        pole_node = _snap_pole(lattice, np.broadcast_to(True, lattice.shape), as_point(o))[0]
-    except PreconditionError:  # the pole lies beyond the lattice
-        pole_node = None
-    if pole_node is None or not s0.interior().mask[pole_node]:
-        raise PreconditionError(
-            "pole does not lie in the grid interior of the core set", tag="4.3"
-        )
-    if not s0.compactly_inside(s):
-        raise PreconditionError(
-            "core set is not compactly inside the intermediate set", tag="4.3"
-        )
-    if np.any(s.mask & ~o_mask):
-        raise PreconditionError(
-            "intermediate set leaves the ambient domain", tag="4.3"
-        )
-    # sandwich for the Green domain
-    d_set = NodeSet(lattice, d_domain.mask)
-    if not s0.compactly_inside(d_set):
-        raise PreconditionError(
-            "core set is not compactly inside the Green domain", tag="4.3'"
-        )
-    if not d_set.compactly_inside(s):
-        raise PreconditionError(
-            "Green domain is not compactly inside the intermediate set", tag="4.3'"
-        )
-
+    # v lives on the ambient domain minus s0, which s holds: the shell is
+    # where v and s overlap.  v is read on its domain alone.
     shell = s.mask & ~s0.mask
     v_shell = v.values[shell]
     reports = [
@@ -567,14 +595,18 @@ def glue_green(
             shell, tol, "hypothesis", shell_nodes=int(shell.sum()),
         )
     ]
+    del v_shell
 
     green = green_function(d_domain, o, params)
     big_m = green_min_constant(green, s0)
     constants = GlueConstants(M_v=M_v, m_v=m_v, M_g=big_m, m_g=0.0)
-    v0_vals = quantitative_v0(green.field, constants).values
 
-    # s0 lies inside s and off v's domain, so v0 alone fills the core
-    glued = _max_glue(lattice, v0_vals, s.mask, v.values, lattice.mask)
+    # v0 alone fills s0, so the glued field lives on the ambient domain; v0
+    # goes as soon as the max assembly has read it, and so does the shell
+    glued = _max_glue(
+        ambient, quantitative_v0(green.field, constants).values, s.mask, v.values, shell
+    )
+    del shell
 
     cert_tol = default_certification_tol(glued) if cert_tol is None else cert_tol
     reports += [
@@ -584,7 +616,7 @@ def glue_green(
         ),
         _equal(
             "glued field equals the outer field off the intermediate set", "4.5=",
-            glued.values, v.values, o_mask & ~s.mask,
+            glued.values, v.values, ambient.mask & ~s.mask,
         ),
         *_core_conclusions(glued, s0.mask, green, constants.scale, "4.5", "core", harmonic_tol),
     ]
@@ -635,7 +667,7 @@ def glue_full(
     equality with ``v`` outside the r-parallel set (``"4.11="``), and the
     pole slope (``"4.11o"``).
     """
-    params, o_mask, ambient = _green_preamble(v, s0, o, params)
+    params, ambient = _green_preamble(v, s0, o, params)
     if s0.is_empty():
         raise PreconditionError("core set is empty")
     if not s0.is_connected():
@@ -686,6 +718,7 @@ def glue_full(
     )
 
     layer = NodeSet(lattice, collar & lattice.interior_mask())
+    layer_nodes = layer.count
     with _stage("continuation"):
         if layer.is_empty():
             raise PreconditionError("empty open layer")
@@ -710,7 +743,13 @@ def glue_full(
     with _stage("regularization"):
         d_domain = regularized_domain(core, r, ambient)
 
-    v_outer = tilde.restricted(o_mask & ~p_third.mask)
+    # the Green gluing takes tilde on the ambient domain minus the r/3-set,
+    # sharing tilde's values: it reads a field on its domain alone
+    v_outer = ScalarField._sharing(lattice.with_mask(ambient.mask & ~p_third.mask), tilde.values)
+    outside = ambient.mask & ~p_full.mask
+    # what the Green stage does not read goes before it: the core's distance
+    # field with the core, and the masks of the earlier stages
+    del core, collar, shell, layer, p_full, ambient
     with _stage("green"):
         inner = glue_green(
             v_outer, p_third, p_two_thirds, d_domain, o, m_v, M_v,
@@ -725,7 +764,7 @@ def glue_full(
     )
     identity = _equal(
         "glued field equals the original outside the r-parallel set", "4.11=",
-        glued.values, v.values, o_mask & ~p_full.mask,
+        glued.values, v.values, outside,
     )
     reports.extend([harmonic, positive, identity, slope])
 
@@ -737,5 +776,5 @@ def glue_full(
         continuation=continuation,
         regularized=d_domain,
         pole_node=inner.pole_node,
-        extras={"m_v": m_v, "layer_nodes": layer.count},
+        extras={"m_v": m_v, "layer_nodes": layer_nodes},
     )

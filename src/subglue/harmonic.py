@@ -37,7 +37,15 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .field import ScalarField
-from .geometry import GridDomain, NodeSet, Point, _bounding_box, _shift_slices, as_point
+from .geometry import (
+    GridDomain,
+    NodeSet,
+    Point,
+    _bounding_box,
+    _distance2,
+    _shift_slices,
+    as_point,
+)
 
 __all__ = [
     "SolverParams",
@@ -379,12 +387,7 @@ def _snap_pole(domain: GridDomain, interior: np.ndarray, o: Point):
     # an empty box is a pole beyond the lattice, maybe too far for a finite d2
     if any(s.start >= s.stop for s in box):
         raise PreconditionError("pole does not lie inside the domain")
-    d2 = 0.0
-    for k, s in enumerate(box):
-        c = domain.axis_coords(k)[s]
-        axis = [c.size if j == k else 1 for j in range(domain.dim)]
-        d2 = d2 + (c.reshape(axis) - o[k]) ** 2
-    d2 = np.where(interior[tuple(box)], d2, np.inf)
+    d2 = np.where(interior[tuple(box)], _distance2(domain, o, box), np.inf)
     local = np.unravel_index(np.argmin(d2), d2.shape)
     offset = float(math.sqrt(d2[local]))
     if offset > h * reach:
@@ -428,7 +431,7 @@ def green_function(
     full = np.zeros(domain.shape)
     np.maximum(values, 0.0, out=full[box])
     host = domain.full_lattice()
-    gfield = ScalarField(host, full)
+    gfield = ScalarField._adopt(host, full)
     return GreenField(
         field=gfield,
         pole=host.node_point(pole_node),
@@ -512,7 +515,7 @@ def harmonic_layer_continuation(
     out = v.values.copy()
     out[layer.mask] = np.maximum(solved, inside)
     engaged = int(np.sum(inside > solved))
-    tilde = ScalarField(v.domain, out)
+    tilde = ScalarField._adopt(v.domain, out)
     return ContinuationResult(
         field=tilde, max_engaged=engaged, residual=residual, iterations=iterations
     )

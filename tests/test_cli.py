@@ -661,8 +661,8 @@ sys.exit(main(sys.argv[1:]))
             "1,600,000,000,000 bytes",  # the (count, 2) float64 sample
         ),
         (HUGE_GRID, "320,000,000,000 bytes"),  # one float64 lattice array
-        # the README disk at 4097^2: 107 B a node for a glue-full run
-        (_demo_scene("glue_full_disk.cfg", 4097), "1,796,038,763 bytes"),
+        # the README disk at 4097^2: 66 B a node for a glue-full run
+        (_demo_scene("glue_full_disk.cfg", 4097), "1,107,836,994 bytes"),
     ],
     ids=["circle-sampler", "lattice", "readme-disk-4097"],
 )
@@ -703,7 +703,7 @@ def test_lattice_budget_is_checked_before_the_lattice_is_allocated(tmp_path):
     finally:
         tracemalloc.stop()
     assert str(err.value).startswith(
-        "glue-full on the 16,785,409-node lattice at 107 B a node needs 1,796,038,763 bytes"
+        "glue-full on the 16,785,409-node lattice at 66 B a node needs 1,107,836,994 bytes"
     )
     assert peak < 2**20
 

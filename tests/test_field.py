@@ -37,17 +37,18 @@ def quad_field(domain, alpha=1.0, center=(0.0, 0.0)):
 # ---------------------------------------------------------------------------
 
 
-def test_field_rejects_plus_inf_and_nan():
+def _rejects_plus_inf_and_nan(make):
+    """The value checks of a field constructor ``make(domain, values)``."""
     dom = disk_domain(1.0, h=1 / 8)
     bad = np.where(dom.mask, np.inf, 0.0)
     with pytest.raises(PreconditionError):
-        ScalarField(dom, bad)
+        make(dom, bad)
     nanbad = np.where(dom.mask, np.nan, 0.0)
     with pytest.raises(PreconditionError):
-        ScalarField(dom, nanbad)
+        make(dom, nanbad)
     # inactive nodes are never read: NaN or +inf there is accepted
     for junk in (np.nan, np.inf):
-        field = ScalarField(dom, np.where(dom.mask, 0.0, junk))
+        field = make(dom, np.where(dom.mask, 0.0, junk))
         assert np.all(field.values[dom.mask] == 0.0)
     # NaN is reported before +inf, wherever each lies
     both = np.where(dom.mask, 0.0, 1.0)
@@ -55,7 +56,28 @@ def test_field_rejects_plus_inf_and_nan():
     both[tuple(active[0])] = np.inf
     both[tuple(active[-1])] = np.nan
     with pytest.raises(PreconditionError, match="NaN value on an active node"):
-        ScalarField(dom, both)
+        make(dom, both)
+    with pytest.raises(PreconditionError, match="shape"):
+        make(dom, np.zeros((3, 3)))
+
+
+def test_field_rejects_plus_inf_and_nan():
+    _rejects_plus_inf_and_nan(ScalarField)
+
+
+def test_adopted_field_is_checked_padded_and_frozen_in_place():
+    # the adopting constructor runs the constructor's checks, and takes the
+    # caller's array itself: NaN off the mask, read-only, no copy
+    _rejects_plus_inf_and_nan(ScalarField._adopt)
+    dom = disk_domain(1.0, h=1 / 8)
+    values = np.where(dom.mask, -2.5, 7.0)
+    values[tuple(np.argwhere(dom.mask)[0])] = -np.inf
+    field = ScalarField._adopt(dom, values)
+    assert field.values is values
+    assert not values.flags.writeable
+    assert np.isnan(values[~dom.mask]).all()
+    copied = ScalarField(dom, np.where(dom.mask, values, 7.0))
+    assert np.array_equal(copied.values.view(np.int64), values.view(np.int64))
 
 
 def test_minus_inf_set_is_tracked():
@@ -209,6 +231,51 @@ def test_laplacian_at_a_node_matches_the_array(shape):
     for node in np.argwhere(mask & ~interior)[:20]:
         with pytest.raises(PreconditionError, match="not interior"):
             discrete_laplacian(v, node - shape)
+
+
+def _out_of_place_laplacian(values, mask, h):
+    """The stencil as it was formed out of place, with the same -inf rules:
+    ``np.where(interior, (sum - 2d u) / h**2, nan)``."""
+    from subglue.geometry import _interior_mask
+
+    interior = _interior_mask(mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = (_neighbour_sum(values) - 2.0 * values.ndim * values) / h**2
+    lap = np.where(interior, lap, np.nan)
+    nodes = np.nonzero(interior & ~np.isfinite(lap))
+    centre = values[nodes] == -np.inf
+    touch = centre.copy()
+    for k in range(values.ndim):
+        for step in (1, -1):
+            touch |= values[nodes[:k] + (nodes[k] + step,) + nodes[k + 1 :]] == -np.inf
+    lap[nodes] = np.where(centre, np.inf, np.where(touch, -np.inf, np.nan))
+    return lap, interior
+
+
+@pytest.mark.parametrize("slab", [1, 7, 2**14])
+@pytest.mark.parametrize("shape", [(300,), (37, 41), (11, 13, 17)])
+def test_in_place_laplacian_matches_the_out_of_place_stencil(monkeypatch, shape, slab):
+    # seeded fields with -inf centres and neighbours and values near 1e308
+    # whose sums overflow, on masks with holes: every bit of the stencil
+    # formed in place, in row slabs of any size, is the out-of-place one's
+    from subglue import field as field_module
+
+    monkeypatch.setattr(field_module, "_SLAB_NODES", slab)
+    rng = np.random.default_rng(sum(shape))
+    mask = rng.random(shape) < 0.9
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < 0.05] = -np.inf
+    values[rng.random(shape) < 0.05] = 1e308
+    values[rng.random(shape) < 0.02] = -1e308
+    # at h = 1e-160 the division by h**2 overflows too
+    for h in (0.25, 1e-160):
+        lap, interior = field_module._laplacian(values, mask, h)
+        ref, ref_interior = _out_of_place_laplacian(values, mask, h)
+        assert np.array_equal(interior, ref_interior)
+        assert np.array_equal(lap.view(np.int64), ref.view(np.int64))
+        # every kind of interior entry occurs: finite, NaN, +inf and -inf
+        kinds = {"finite" if np.isfinite(x) else str(x) for x in ref[interior].tolist()}
+        assert kinds == ({"finite", "nan", "inf", "-inf"} if h == 0.25 else {"nan", "inf", "-inf"})
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,24 @@ def test_reading_the_readme_field_peaks_below_three_mib(tmp_path):
     assert peak <= 3 * 2**20
 
 
+def test_writing_the_readme_field_peaks_below_45_bytes_a_node(tmp_path):
+    # the whole text, its line list and a copy of that list took 54 B a
+    # node here; the writer now holds one piece of the text at a time
+    import pathlib
+
+    cfg = pathlib.Path(__file__).parent.parent / "demos" / "scene_configs" / "glue_full_disk.cfg"
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    v = read_field(tmp_path / "field.txt")
+    tracemalloc.start()
+    try:
+        write_field(v, tmp_path / "again.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "field.txt").read_bytes()
+    assert peak <= 45 * 257 * 257
+
+
 @pytest.mark.parametrize("edit", [lambda t: t, lambda t: t.replace("\n", "\r\n")],
                          ids=["one-pass", "per-line"])
 def test_field_reader_guard_counts_what_the_read_allocates(edit, monkeypatch):

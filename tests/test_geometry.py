@@ -180,6 +180,33 @@ def test_node_set_distance_is_exact_cached_and_read_only():
         NodeSet(dom, np.zeros(dom.shape, dtype=bool)).distance
 
 
+@pytest.mark.parametrize("slab", [1, 2**14])
+@pytest.mark.parametrize("shape", [(500,), (37, 53), (17, 19, 23)])
+def test_node_set_distance_is_scipys_transform_bit_for_bit(monkeypatch, shape, slab):
+    # the distances formed slab by slab from the feature transform are the
+    # bits of scipy's own distance transform, at any slab size
+    from subglue import geometry
+
+    monkeypatch.setattr(geometry, "_SLAB_NODES", slab)
+    rng = np.random.default_rng(len(shape))
+    for fraction, h in [(0.002, 1 / 3), (0.05, 0.0078125), (0.6, 0.1)]:
+        mask = rng.random(shape) < fraction
+        mask.flat[-1] = True
+        dom = GridDomain((0.0,) * len(shape), h, shape, np.ones(shape, dtype=bool))
+        want = ndimage.distance_transform_edt(~mask, sampling=[h] * len(shape))
+        assert np.array_equal(NodeSet(dom, mask).distance.view(np.int64), want.view(np.int64))
+
+
+def test_squared_distance_on_a_box_is_the_whole_lattice_s():
+    from subglue.geometry import _distance2
+
+    dom = _full_grid(h=0.1, n=21)
+    whole = dom.distance2_to((0.33, -0.71))
+    for box in [(slice(3, 9), slice(0, 21)), (slice(20, 21), slice(5, 6)), (slice(0, 0), slice(2, 4))]:
+        part = _distance2(dom, Point(0.33, -0.71), box)
+        assert np.array_equal(part.view(np.int64), whole[box].view(np.int64))
+
+
 def test_parallel_set_monotone_and_contains_seed():
     dom = _full_grid(h=0.25, n=33)
     rng = np.random.default_rng(11)

@@ -522,3 +522,96 @@ def test_max_gluing_keeps_the_operand_order_of_tied_zeros(construction):
     assert overlap.any() and np.all(glued == 0.0)
     assert np.any(np.signbit(first[overlap]) != np.signbit(second[overlap]))
     assert np.array_equal(np.signbit(glued), np.signbit(expected))
+
+
+def _readme_full_inputs(n):
+    """The README glue-full disk scene on an n x n lattice: the field off
+    the core and the core, as the batch runner builds them."""
+    from subglue import kernel_field
+
+    h = 2 / (n - 1)
+    outer = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=h, shape=(n, n))
+    core = NodeSet(outer, outer.mask & (outer.distance2_to((0.0, 0.0)) < 0.15**2))
+    v = kernel_field(outer.with_mask(outer.mask & ~core.mask), 2, (0.0, 0.0))
+    return v, core
+
+
+def _readme_full(v, core):
+    return glue_full(v, core, (0, 0), r=0.3, M_v=-0.7985, tol=0.0032, cert_tol=0.05)
+
+
+def test_glue_full_peak_memory_above_its_inputs():
+    # the tracemalloc peak of the README scene's glue_full at 257^2, counted
+    # from after its inputs: the Green stage's checks, the mean stage's
+    # block and the field copies once held it at 88.9 B a lattice node
+    import tracemalloc
+
+    _readme_full(*_readme_full_inputs(65))  # loads the modules scipy imports on first use
+    n = 257
+    v, core = _readme_full_inputs(n)
+    tracemalloc.start()
+    try:
+        res = _readme_full(v, core)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verified, worst_report(res)
+    assert peak <= 60 * n * n
+
+
+def test_glue_green_reads_its_field_on_its_mask_alone():
+    # glue_full hands the Green gluing the continued field on a smaller
+    # domain without a copy, so its values off that domain are not NaN:
+    # finite junk there changes no report and no bit of the glued field
+    outer, s0, s, v_dom = _green_scene(1 / 64)
+    v = log_field(v_dom)
+    junk = np.where(v_dom.mask, v.values, np.random.default_rng(5).normal(size=outer.shape))
+    junk.setflags(write=False)
+    d_dom = regularized_domain(s0, 0.3, outer)
+    results = [
+        glue_green(
+            field, s0, s, d_dom, (0, 0), m_v=float(np.log(0.2) - 0.01),
+            M_v=float(np.log(0.5) + 0.01), tol=1e-6, cert_tol=0.05,
+        )
+        for field in (v, ScalarField._sharing(v_dom, junk))
+    ]
+    clean, shared = results
+    assert clean.verified, worst_report(clean)
+    assert [r.as_record() for r in shared.reports] == [r.as_record() for r in clean.reports]
+    assert np.array_equal(shared.field.domain.mask, clean.field.domain.mask)
+    assert np.array_equal(
+        shared.field.values.view(np.int64), clean.field.values.view(np.int64)
+    )
+
+
+def _whole_lattice_pole_slope(glued, green, region_mask, target):
+    """The pole slope regression with distances over the whole lattice."""
+    from subglue.kernels import kernel_k
+
+    h = glued.domain.spacing
+    r = np.sqrt(glued.domain.distance2_to(green.pole))
+    ring = region_mask & (r >= 2.0 * h * (1 - 1e-12)) & (r <= 8.0 * h * (1 + 1e-12))
+    x = -kernel_k(glued.domain.dim - 2, r[ring])
+    y = glued.values[ring]
+    return float(np.mean((x - x.mean()) * (y - y.mean())) / np.var(x)), int(ring.sum())
+
+
+def test_pole_slope_on_the_region_box_matches_the_whole_lattice(pipeline_scene):
+    from subglue.gluing import _pole_slope_report
+
+    res = pipeline_scene["result"]
+    glued, green = res.field, res.green
+    core = pipeline_scene["s0"].mask.copy()
+    core[green.pole_node] = False
+    # the core, its upper half, and the core plus a node at the lattice corner
+    half = core.copy()
+    half[: green.pole_node[0]] = False
+    corner = core.copy()
+    corner[0, 0] = True
+    for region in (core, half, corner):
+        report = _pole_slope_report("slope", "o", glued, green, region, 1.0)
+        slope, nodes = _whole_lattice_pole_slope(glued, green, region, 1.0)
+        assert report.details["slope"] == slope
+        assert report.details["ring_nodes"] == nodes
+    empty = _pole_slope_report("slope", "o", glued, green, np.zeros_like(core), 1.0)
+    assert empty.details == {"ring_nodes": 0, "reason": "ring too thin"}
