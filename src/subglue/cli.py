@@ -53,9 +53,12 @@ _SHAPES = {"ball": Ball, "box": Box}
 # Peak bytes a lattice node of a whole run of a command, inputs, solves and
 # field.txt included: the tracemalloc peak of the README scenes (unit-ball
 # domains) in a fresh process, 82.3 / 57.3 / 64.5 B at 2049^2 and 68.7 /
-# 56.5 / 65.8 B at 129^3, rounded up.  Any other command is held to one
-# float64 array of the lattice.
-_LATTICE_BYTES = {"green": 83, "glue-green": 58, "glue-full": 66}
+# 56.5 / 65.8 B at 129^3, rounded up.  ``verify`` peaks in the writer, at
+# one repr string a distinct value: on the README disk with the kernel's
+# pole off the lattice's symmetry axes, every value distinct, at 84.0 B at
+# 2049^2 and 85.1 B at 257^2 (50.9 B with the pole at the centre).  Any
+# other command is held to one float64 array of the lattice.
+_LATTICE_BYTES = {"green": 83, "glue-green": 58, "glue-full": 66, "verify": 86}
 
 
 class _Scene:

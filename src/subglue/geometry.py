@@ -36,15 +36,6 @@ __all__ = [
 ]
 
 
-# scipy.ndimage is imported by each caller on first use, so that importing
-# subglue loads no scipy; ``geometry.ndimage`` still names the module
-def __getattr__(name):
-    if name == "ndimage":
-        from scipy import ndimage
-        return ndimage
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class Point:
     """A point of R^d, d >= 1, with finite coordinates."""

@@ -7,13 +7,14 @@ positive definite Schur complement over the black unknowns (the "reduced
 system" of Hageman & Young, *Applied Iterative Methods*, 1981, ch. 9), with
 a quarter of the full Laplacian's condition number and so about half its
 iterations, and the red values are back-substituted.  The fixed data are
-folded into the right-hand side.  Every solve allocates only what lives on
-the box of its unknowns: the caller fills the fixed data in an array of the
-bounding box of the unknowns and any nonzero fixed data grown by one node,
-its start moved back a node when its index sum is odd, solves on that
-array, and only then places the result in a lattice array.  Row-major order
-in the box is the lattice's and so are its colours, so the numbering, the
-system and every sum are the same.  The red-to-black adjacency ``N`` is
+folded into the right-hand side.  Every solve runs on one box: the caller
+fills the fixed data in an array of the bounding box of the unknowns and
+any nonzero fixed data grown by one node, solves on that array with the
+box's start, and only then places the result in a lattice array.  A node's
+colour is the parity of its lattice index, box start included, and
+row-major order in the box is the lattice's, so the numbering, the system
+and every sum are those of the solve on the whole lattice, bit for bit.
+The red-to-black adjacency ``N`` is
 stored once, as CSR; ``N^T`` is its CSC view, whose product sums each row
 in the same order (Saad, *Iterative Methods for Sparse Linear Systems*,
 2003, ch. 3).  A solve stops once the max-norm of the stencil residual
@@ -80,61 +81,39 @@ class SolverParams:
             raise PreconditionError("residual tolerance must be positive")
 
 
-def _solve_box(held: np.ndarray):
-    """The box a solve runs on: the bounding box of ``held`` grown by one
-    node (clipped to the lattice), its start moved back one node on the
-    first axis whose start is above 0 when the start's index sum is odd.
-
-    ``held`` holds the unknowns and every nonzero fixed value, so the box
-    holds every unknown, every fixed neighbour of one and every nonzero
-    datum.  Beyond it the lattice holds 0, which the stopping rule's extent
-    counts anyway; and with an even start the box's index parity is the
-    lattice's, so the colours, the system and every bit of a solve on the
-    box are those of the solve on the whole lattice.
-    """
-    box = list(_bounding_box(held, grow=1))
-    if sum(s.start for s in box) % 2:
-        k = next(k for k, s in enumerate(box) if s.start > 0)
-        box[k] = slice(box[k].start - 1, box[k].stop)
-    return tuple(box)
-
-
-def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
+def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole, start):
     """The stencil system on the unknowns, split by colour.
 
-    A node is black when its lattice index sum is odd and red when it is
-    even; the 2d-point stencil couples only nodes of opposite colour.  The
-    system is assembled on ``box``, the bounding box of the unknowns grown
-    by one node (clipped to the lattice), which holds every unknown and
-    every fixed neighbour of one.  Returns ``(box, red, black, adj, b_red,
-    b_black)``: the box (a tuple of slices of the lattice), the two colour
-    masks on the box, the 0/1 red-to-black adjacency ``N`` (CSR, rows red
-    and columns black, each colour numbered in row-major order, which is
-    the lattice's order; ``adj.T`` is ``N^T`` as a CSC view of the same
-    arrays), and the right-hand side of each colour, which holds the sum of
-    the fixed neighbour values (0 beyond the lattice) minus, at the pole
-    node, ``h^2 strength`` for ``pole = (node, strength)`` (or None).  The
-    full system is ``2d u_red - N u_black = b_red`` and ``2d u_black - N^T
-    u_red = b_black``.  The black numbering and the red neighbour table are
-    freed before the right-hand sides are summed.
+    ``values`` and ``unknown`` are a box of the lattice whose first node has
+    lattice index ``start``; the box holds every unknown and every fixed
+    neighbour of one.  A node is black when its lattice index sum is odd
+    and red when it is even; the 2d-point stencil couples only nodes of
+    opposite colour.  Returns ``(red, black, adj, b_red, b_black)``: the two
+    colour masks on the box, the 0/1 red-to-black adjacency ``N`` (CSR,
+    rows red and columns black, each colour numbered in row-major order,
+    which is the lattice's order; ``adj.T`` is ``N^T`` as a CSC view of the
+    same arrays), and the right-hand side of each colour, which holds the
+    sum of the fixed neighbour values (0 beyond the box) minus, at the pole
+    node, ``h^2 strength`` for ``pole = (node, strength)`` (or None), the
+    node an index of the box.  The full system is ``2d u_red - N u_black =
+    b_red`` and ``2d u_black - N^T u_red = b_black``.  The black numbering
+    and the red neighbour table are freed before the right-hand sides are
+    summed.
     """
     # imported here, not at module level, so that importing subglue for
     # capacity or certification alone does not load scipy.sparse
     from scipy import sparse
 
-    box = _bounding_box(unknown, grow=1)
-    values = values[box]
-    unknown = unknown[box]
     # the colour is the parity of the lattice index, box start included
     odd = functools.reduce(
         np.logical_xor,
-        ((i + s.start) % 2 == 1 for i, s in zip(np.indices(values.shape, sparse=True), box)),
+        ((i + s) % 2 == 1 for i, s in zip(np.indices(values.shape, sparse=True), start)),
     )
     red = unknown & ~odd
     black = unknown & odd
     # on the box padded by one node, the 2d neighbours of flat index i sit
     # at i + offsets, in ascending order; the pad stands for the nodes
-    # beyond the lattice (unnumbered)
+    # beyond the box (unnumbered)
     number = np.full(tuple(n + 2 for n in values.shape), -1, dtype=np.int32)
     number[(slice(1, -1),) * values.ndim][black] = np.arange(
         np.count_nonzero(black), dtype=np.int32
@@ -160,7 +139,7 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
     del table, present
     # the fixed neighbour sums, added from 0 in ascending offset order as a
     # row sum of the gathered neighbours adds them; an unknown neighbour
-    # adds +0 and one beyond the lattice is skipped, both leaving every bit
+    # adds +0 and one beyond the box is skipped, both leaving every bit
     fixed = np.where(unknown, 0.0, values)
     b = np.zeros(values.shape)
     axes = range(values.ndim)
@@ -168,22 +147,25 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole):
         dst, src, _ = _shift_slices(values.ndim, k, step)
         b[dst] += fixed[src]
     del fixed
-    if pole is not None:  # (node, strength), the node an index of values
-        b[tuple(i - s.start for i, s in zip(pole[0], box))] -= (h * h) * pole[1]
-    return box, red, black, adj, b[red], b[black]
+    if pole is not None:
+        b[pole[0]] -= (h * h) * pole[1]
+    return red, black, adj, b[red], b[black]
 
 
 def _cg_solve(
-    values: np.ndarray, unknown: np.ndarray, h: float, params: SolverParams, pole=None
+    values: np.ndarray, unknown: np.ndarray, h: float, params: SolverParams, pole=None, start=None
 ):
     """Conjugate gradients for ``lap u = f`` on the unknown nodes, run on the
     red-black reduced system, where ``f`` is 0 but for ``strength`` at the
     unknown ``node`` of ``pole = (node, strength)``.
 
     ``values`` enters with the fixed data preset and an initial guess on the
-    black unknowns; it is modified in place.  It may be the whole lattice or
-    a box of it from :func:`_solve_box`, whose colours are the lattice's;
-    both give the same bits.  ``N^T`` is ``adj.T``, the CSC view of ``N``'s
+    black unknowns; it is modified in place.  It is a box of the lattice
+    whose first node has lattice index ``start`` (None for the whole
+    lattice, the box that starts at 0) and which holds every unknown and
+    every fixed neighbour of one; the colours are the lattice's, so every
+    such box gives the bits of the whole lattice.  The pole's node is an
+    index of ``values``.  ``N^T`` is ``adj.T``, the CSC view of ``N``'s
     arrays, not a copy.  With ``D = 2d``, eliminating the red unknowns,
     ``u_red = (b_red + N u_black) / D``, leaves the symmetric positive
     definite Schur complement ``S = D I - N^T N / D`` on the black ones,
@@ -214,11 +196,12 @@ def _cg_solve(
         values[unknown] = 0.0
         return 0.0, 0
 
-    box, red, black, adj, b_red, b_black = _red_black_system(values, unknown, h, pole)
+    if start is None:
+        start = (0,) * values.ndim
+    red, black, adj, b_red, b_black = _red_black_system(values, unknown, h, pole, start)
     # N^T as a CSC view of adj's arrays: its product sums each row from 0
     # in ascending column order, as the product of a CSR copy would
     adj_t = adj.T
-    view = values[box]
     diag = 2.0 * values.ndim
 
     def back_substitute(x):
@@ -234,7 +217,7 @@ def _cg_solve(
         residual = max(np.abs(r_red).max(initial=0.0), np.abs(r).max(initial=0.0))
         return x_red, r, float(residual)
 
-    x = view[black]
+    x = values[black]
     x_red, r, residual = back_substitute(x)
     iterations = 0
     p = r.copy()
@@ -259,8 +242,8 @@ def _cg_solve(
     converged = residual <= target
     if not converged:  # the values left behind carry their true residual
         x_red, _, residual = back_substitute(x)
-    view[red] = x_red
-    view[black] = x
+    values[red] = x_red
+    values[black] = x
     if not converged:
         raise ConvergenceError(
             f"CG did not reach residual {target:g} within {params.max_iter} "
@@ -301,17 +284,17 @@ def solve_dirichlet(
         raise PreconditionError("boundary values must be finite")
     # the whole domain's box: a boundary value that touches no interior node
     # still counts in the stopping rule's extent
-    box = _solve_box(domain.mask)
+    box = _bounding_box(domain.mask, grow=1)
     unknown, active = interior[box], domain.mask[box]
     values = np.zeros(unknown.shape)
     values[active] = boundary_values[box][active]
     values[unknown] = float(bvals.mean())
-    _cg_solve(values, unknown, domain.spacing, params)
+    _cg_solve(values, unknown, domain.spacing, params, start=tuple(s.start for s in box))
     lo, hi = float(bvals.min()), float(bvals.max())
     values[active] = np.clip(values[active], lo, hi)
     out = np.zeros(domain.shape)
     out[box] = values
-    return ScalarField(domain, out)
+    return ScalarField._adopt(domain, out)
 
 
 @dataclass
@@ -419,14 +402,15 @@ def green_function(
         raise PreconditionError("domain has no interior nodes")
     pole_node, offset = _snap_pole(domain, interior, o)
     h = domain.spacing
-    box = _solve_box(interior)
+    box = _bounding_box(interior, grow=1)
+    start = tuple(s.start for s in box)
     unknown = interior[box]
     values = np.zeros(unknown.shape)
     pole = (
-        tuple(i - s.start for i, s in zip(pole_node, box)),
+        tuple(i - s for i, s in zip(pole_node, start)),
         -_source_strength(domain.dim) / h**domain.dim,
     )
-    residual, iterations = _cg_solve(values, unknown, h, params, pole=pole)
+    residual, iterations = _cg_solve(values, unknown, h, params, pole=pole, start=start)
     # the solve writes only interior nodes, so the rest of the lattice is 0
     full = np.zeros(domain.shape)
     np.maximum(values, 0.0, out=full[box])
@@ -440,7 +424,7 @@ def green_function(
         domain=domain,
         residual=residual,
         iterations=iterations,
-        unknowns=int(np.count_nonzero(interior)),
+        unknowns=int(np.count_nonzero(unknown)),
     )
 
 
@@ -504,12 +488,14 @@ def harmonic_layer_continuation(
     ring_vals = v.values[ring.mask]
     if np.any(ring_vals == -np.inf):
         raise PreconditionError("-inf value on the layer's boundary ring")
-    box = _solve_box(layer.mask)
+    box = _bounding_box(layer.mask, grow=1)
     unknown, on_ring = layer.mask[box], ring.mask[box]
     values = np.zeros(unknown.shape)
     values[on_ring] = v.values[box][on_ring]
     values[unknown] = float(ring_vals.mean())
-    residual, iterations = _cg_solve(values, unknown, v.domain.spacing, params)
+    residual, iterations = _cg_solve(
+        values, unknown, v.domain.spacing, params, start=tuple(s.start for s in box)
+    )
     solved = np.clip(values[unknown], ring_vals.min(), ring_vals.max())
     inside = v.values[layer.mask]
     out = v.values.copy()

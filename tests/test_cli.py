@@ -660,7 +660,7 @@ sys.exit(main(sys.argv[1:]))
             ),
             "1,600,000,000,000 bytes",  # the (count, 2) float64 sample
         ),
-        (HUGE_GRID, "320,000,000,000 bytes"),  # one float64 lattice array
+        (HUGE_GRID, "3,440,000,000,000 bytes"),  # 86 B a node for a verify run
         # the README disk at 4097^2: 66 B a node for a glue-full run
         (_demo_scene("glue_full_disk.cfg", 4097), "1,107,836,994 bytes"),
     ],
@@ -683,7 +683,7 @@ def test_config_sized_allocation_is_guarded(tmp_path, text, nbytes):
 
 
 def test_2049_lattice_passes_the_lattice_guard(tmp_path):
-    # a 2049 x 2049 lattice array takes 34 MB, well inside the budget
+    # 86 B a node of a 2049 x 2049 lattice is 361 MB, inside the budget
     text = HUGE_GRID.replace("shape 200000 200000", "shape 2049 2049").replace(
         "add ball 0 0 1", "add ball 0 0 0.05"
     )
@@ -717,6 +717,12 @@ GREEN_COMMAND = {
     2: "command green {\n  domain O\n  pole 0 0\n  S0 S0\n}\n",
     3: "command green {\n  domain O\n  pole 0 0 0\n  S0 S0\n}\n",
 }
+# the kernel's pole inside the core but off the lattice's symmetry axes, so
+# that its values are all distinct and the writer holds one string for each
+VERIFY_COMMAND = (
+    "field w { kernel 2 0.0123 0.0456 }\n"
+    "command verify {\n  field w\n  on O\n  tol 1\n  exclude S0\n}\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -727,8 +733,9 @@ GREEN_COMMAND = {
         ("glue_full_disk.cfg", 257, 65, GREEN_COMMAND[2]),
         ("glue_full_ball3d.cfg", 65, 41, None),
         ("glue_full_ball3d.cfg", 65, 41, GREEN_COMMAND[3]),
+        ("glue_full_disk.cfg", 257, 65, VERIFY_COMMAND),
     ],
-    ids=["glue-full-2d", "glue-green-2d", "green-2d", "glue-full-3d", "green-3d"],
+    ids=["glue-full-2d", "glue-green-2d", "green-2d", "glue-full-3d", "green-3d", "verify-2d"],
 )
 def test_lattice_budget_bounds_the_peak_of_a_run(tmp_path, name, n, warm, command):
     # the peak past the imports: the smaller scene loads scipy first, even

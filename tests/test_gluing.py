@@ -359,16 +359,16 @@ def test_glue_full_pipeline_invariants(pipeline_scene):
 def test_glue_full_computes_two_distance_fields(monkeypatch):
     # one, shared by dist_to_complement and every parallel set of the core:
     # the distance to the complement is read off the core's own field
-    from subglue import geometry
+    from scipy import ndimage
 
     calls = []
-    edt = geometry.ndimage.distance_transform_edt
+    edt = ndimage.distance_transform_edt
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return edt(*args, **kwargs)
 
-    monkeypatch.setattr(geometry.ndimage, "distance_transform_edt", counting)
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
     # the README glue_full scene
     h = 1 / 128
     outer = rasterize_ball((0, 0), 1.0, origin=(-1, -1), spacing=h, shape=(257, 257))

@@ -552,8 +552,9 @@ def _whole_lattice_red_black_system(values, unknown, h, source):
 
 
 # (shape, first and last index of the unknowns' bounding box, parity of
-# the index sum of the grown box's start): boxes that touch the near or the
-# far lattice edge or neither, starting on either colour
+# the index sum of the start the assembly receives, the start of that box
+# grown by one node): boxes that touch the near or the far lattice edge or
+# neither, starting on either colour
 RED_BLACK_BOXES = [
     ((40,), (0,), (24,), 0),
     ((40,), (6,), (39,), 1),
@@ -586,12 +587,12 @@ def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, las
     source = np.zeros(shape)
     source[pole] = rng.uniform(-5.0, 5.0)
     h = 1 / 16
-    box, *system = _red_black_system(values, unknown, h, (pole, source[pole]))
+    box = _bounding_box(unknown, grow=1)
+    start = tuple(s.start for s in box)
+    assert sum(start) % 2 == parity
+    local = tuple(i - s for i, s in zip(pole, start))
+    system = _red_black_system(values[box], unknown[box], h, (local, source[pole]), start)
     expected = _whole_lattice_red_black_system(values, unknown, h, source)
-    assert box == tuple(
-        slice(max(a - 1, 0), min(b + 2, n)) for a, b, n in zip(first, last, shape)
-    )
-    assert sum(s.start for s in box) % 2 == parity
     for colour, ref in zip(system[:2], expected[:2]):
         full = np.zeros(shape, dtype=bool)
         full[box] = colour
