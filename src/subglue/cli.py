@@ -1,8 +1,10 @@
 """Batch front end: parse a scene config, run its command, emit artifacts.
 
-Every run writes a ``report.json`` (stable key order, no timing data, so
-identical inputs give byte-identical output) and, for field-producing
-commands, a ``field.txt``; ``--render`` adds a ``field.pgm``.  Exit status:
+One ``_Scene`` holds a run: the lattice, each set resolved once, the field
+recipes and tolerances, and the checks, records and files it emits.  Every
+run writes a ``report.json`` (stable key order, no timing data, so identical
+inputs give byte-identical output) and, for field-producing commands, a
+``field.txt``; ``--render`` adds a ``field.pgm``.  Exit status:
 0 all checks passed, 2 config problem, 3 precondition or hypothesis failure,
 4 conclusion certification failure, 5 internal error.
 """
@@ -47,26 +49,30 @@ EXIT_INTERNAL = 5
 # scene construction
 # ---------------------------------------------------------------------------
 
-# config shape kind -> geometry shape; a "set" entry names an earlier mask
+# config shape kind -> geometry shape; a "set" entry names an earlier set
 _SHAPES = {"ball": Ball, "box": Box}
 
-# Peak bytes a lattice node of a whole run of a command, inputs, solves and
-# field.txt included: the tracemalloc peak of the README scenes (unit-ball
-# domains) in a fresh process, 82.3 / 57.3 / 64.5 B at 2049^2 and 68.7 /
-# 56.5 / 65.8 B at 129^3, rounded up.  ``verify`` peaks in the writer, at
-# one repr string a distinct value: on the README disk with the kernel's
-# pole off the lattice's symmetry axes, every value distinct, at 84.0 B at
-# 2049^2 and 85.1 B at 257^2 (50.9 B with the pole at the centre).  Any
-# other command is held to one float64 array of the lattice.
-_LATTICE_BYTES = {"green": 83, "glue-green": 58, "glue-full": 66, "verify": 86}
+# Peak bytes a lattice node of a whole run, inputs and field.txt included:
+# the tracemalloc peak in a fresh process at 2049^2 and 129^3 (README lists
+# them), rounded up.  The writer holds one repr string a distinct value, so
+# verify and the two-field gluings are measured on fields whose values are
+# all distinct.  capacity is held to one float64 array of the lattice.
+_LATTICE_BYTES = {
+    "green": 83, "glue-green": 58, "glue-full": 66, "verify": 86,
+    "glue-basic": 88, "glue-two": 108, "glue-quant": 124,
+}
 
 
 class _Scene:
-    """Resolved lattice, set masks and field recipes for one config."""
+    """One run of a config: its lattice, its sets, each resolved once into
+    the NodeSet the handlers get, its field recipes and tolerances, and what
+    it emits: checks, constants, records, output files, the result field."""
 
-    def __init__(self, cfg: SceneConfig, base_dir: str):
+    def __init__(self, cfg: SceneConfig, base_dir: str, tol=None, out_dir="."):
         self.cfg = cfg
+        self.value = value = cfg.value
         self.base_dir = base_dir
+        self.out_dir = out_dir
         # checked before the first lattice array is allocated
         nodes = math.prod(cfg.shape)
         per_node = _LATTICE_BYTES.get(cfg.command, 8)
@@ -74,30 +80,37 @@ class _Scene:
             per_node * nodes, f"{cfg.command} on the {nodes:,}-node lattice at {per_node} B a node"
         )
         self.lattice = GridDomain(
-            cfg.origin, cfg.spacing, cfg.shape, np.ones(cfg.shape, dtype=bool)
-        )
-        self.masks = {}
+            cfg.origin, cfg.spacing, cfg.shape, np.broadcast_to(True, cfg.shape)
+        ).full_lattice()
+        self.sets = {}
         for name, ops in cfg.sets.items():
             recipe = [
-                (op, self.masks[args[0]] if kind == "set" else _SHAPES[kind](*args))
+                (op, self.sets[args[0]].mask if kind == "set" else _SHAPES[kind](*args))
                 for op, kind, *args in ops
             ]
-            self.masks[name] = _recipe_mask(recipe, self.lattice)
+            self.sets[name] = NodeSet(self.lattice, _recipe_mask(recipe, self.lattice))
+        self.tol = value("tol") if tol is None else tol
+        # a tolerance at or below 0 means the library default
+        self.cert_tol, self.harmonic_tol = (
+            t if t > 0 else None for t in (value("cert-tol", 0.0), value("harmonic-tol", 0.0))
+        )
+        self.checks = []
+        self.constants = {}
+        self.records = {}
+        self.outputs = []
+        self.result = None
 
     def domain(self, name: str) -> GridDomain:
-        mask = self.masks[name]
+        mask = self.sets[name].mask
         if not mask.any():
             raise PreconditionError(f"empty domain: set {name!r} has no active nodes")
         return self.lattice.with_mask(mask)
 
     def node_set(self, name: str) -> NodeSet:
-        return NodeSet(self.lattice, self.masks[name])
+        return self.sets[name]
 
     def field(self, name: str, domain: GridDomain) -> ScalarField:
         recipe = self.cfg.fields[name]
-        return self._eval(recipe, domain)
-
-    def _eval(self, recipe, domain: GridDomain) -> ScalarField:
         kind = recipe[0]
         if kind == "constant":
             return ScalarField.constant(domain, recipe[1])
@@ -113,42 +126,13 @@ class _Scene:
             return self.field(recipe[1], domain).affine_image(recipe[2], 0.0)
         if kind == "offset":
             return self.field(recipe[1], domain).affine_image(1.0, recipe[2])
-        # file
-        path = recipe[1]
-        if not os.path.isabs(path):
-            path = os.path.join(self.base_dir, path)
-        loaded = read_field(path)
+        # file; os.path.join keeps an absolute path as it is
+        loaded = read_field(os.path.join(self.base_dir, recipe[1]))
         if not loaded.domain.same_lattice(domain):
             raise PreconditionError("field file lattice does not match the grid block")
         if np.any(domain.mask & ~loaded.domain.mask):
             raise PreconditionError("field file does not cover the requested domain")
         return loaded.restricted(domain.mask)
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-# ---------------------------------------------------------------------------
-
-
-class _Run:
-    """One command's config values and tolerances, and everything it emits:
-    check reports, report constants and records, output files, the result
-    field."""
-
-    def __init__(self, scene: _Scene, tol_override, out_dir):
-        self.scene = scene
-        self.value = value = scene.cfg.value
-        self.out_dir = out_dir
-        self.tol = value("tol") if tol_override is None else tol_override
-        # a tolerance at or below 0 means the library default
-        self.cert_tol, self.harmonic_tol = (
-            t if t > 0 else None for t in (value("cert-tol", 0.0), value("harmonic-tol", 0.0))
-        )
-        self.checks = []
-        self.constants = {}
-        self.records = {}
-        self.outputs = []
-        self.field = None
 
     def emit(self, name, write, data):
         """Write ``data`` to ``name`` in the output directory and list it;
@@ -159,9 +143,14 @@ class _Run:
 
     def glued(self, res):
         self.checks.extend(res.reports)
-        self.field = res.field
+        self.result = res.field
         if res.constants is not None:
             self.constants.update(res.constants.as_dict())
+
+
+# ---------------------------------------------------------------------------
+# command handlers
+# ---------------------------------------------------------------------------
 
 
 def _green_reports(green, d_domain) -> list:
@@ -191,107 +180,101 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _solver_params(job: _Run) -> SolverParams:
-    return SolverParams(**_given(max_iter=job.value("max-iter"), rtol=job.value("rtol")))
+def _solver_params(scene: _Scene) -> SolverParams:
+    return SolverParams(**_given(max_iter=scene.value("max-iter"), rtol=scene.value("rtol")))
 
 
-def _verify(job: _Run):
-    value, scene = job.value, job.scene
-    job.field = scene.field(value("field"), scene.domain(value("on")))
-    exclude = scene.node_set(value("exclude")) if value("exclude") else None
-    job.checks.append(is_subharmonic(job.field, job.tol, exclude=exclude))
+def _green_settings(scene: _Scene) -> dict:
+    """Both Green gluings' solver parameters and tolerances, passed last."""
+    return dict(
+        params=_solver_params(scene), tol=scene.tol,
+        cert_tol=scene.cert_tol, harmonic_tol=scene.harmonic_tol,
+    )
 
 
-def _green(job: _Run):
-    value, scene = job.value, job.scene
-    d_domain = scene.domain(value("domain"))
-    green = green_function(d_domain, value("pole"), _solver_params(job))
-    if value("S0"):
-        job.constants["M_g"] = green_min_constant(green, scene.node_set(value("S0")))
-    job.checks.extend(_green_reports(green, d_domain))
-    job.field = green.field
-    job.emit("green_meta.json", write_json, green.metadata())
+def _verify(scene: _Scene):
+    scene.result = scene.field(scene.value("field"), scene.domain(scene.value("on")))
+    exclude = scene.node_set(scene.value("exclude")) if scene.value("exclude") else None
+    scene.checks.append(is_subharmonic(scene.result, scene.tol, exclude=exclude))
 
 
-def _two_fields(job: _Run, outer_key, inner_key):
+def _green(scene: _Scene):
+    d_domain = scene.domain(scene.value("domain"))
+    green = green_function(d_domain, scene.value("pole"), _solver_params(scene))
+    if scene.value("S0"):
+        scene.constants["M_g"] = green_min_constant(green, scene.node_set(scene.value("S0")))
+    scene.checks.extend(_green_reports(green, d_domain))
+    scene.result = green.field
+    scene.emit("green_meta.json", write_json, green.metadata())
+
+
+def _two_fields(scene: _Scene, outer_key, inner_key):
     """The fields named by two keys on the ``on`` and ``on0`` domains."""
-    value, scene = job.value, job.scene
-    outer, inner = scene.domain(value("on")), scene.domain(value("on0"))
-    return scene.field(value(outer_key), outer), scene.field(value(inner_key), inner)
+    outer, inner = scene.domain(scene.value("on")), scene.domain(scene.value("on0"))
+    return scene.field(scene.value(outer_key), outer), scene.field(scene.value(inner_key), inner)
 
 
-def _glue_basic(job: _Run):
-    u, u0 = _two_fields(job, "u", "u0")
-    job.glued(glue_basic(u, u0, job.tol, cert_tol=job.cert_tol))
+def _glue_basic(scene: _Scene):
+    u, u0 = _two_fields(scene, "u", "u0")
+    scene.glued(glue_basic(u, u0, scene.tol, cert_tol=scene.cert_tol))
 
 
-def _glue_two(job: _Run):
-    v, v0 = _two_fields(job, "v", "v0")
-    job.glued(glue_two(v, v0, job.tol, cert_tol=job.cert_tol))
+def _glue_two(scene: _Scene):
+    v, v0 = _two_fields(scene, "v", "v0")
+    scene.glued(glue_two(v, v0, scene.tol, cert_tol=scene.cert_tol))
 
 
-def _glue_quant(job: _Run):
-    v, g = _two_fields(job, "v", "g")
-    consts = GlueConstants(*(job.value(k) for k in ("M_v", "m_v", "M_g", "m_g")))
-    job.glued(glue_quantitative(v, g, consts, job.tol, cert_tol=job.cert_tol))
+def _glue_quant(scene: _Scene):
+    v, g = _two_fields(scene, "v", "g")
+    consts = GlueConstants(*(scene.value(k) for k in ("M_v", "m_v", "M_g", "m_g")))
+    scene.glued(glue_quantitative(v, g, consts, scene.tol, cert_tol=scene.cert_tol))
 
 
-def _field_off_core(job: _Run):
+def _field_off_core(scene: _Scene):
     """The ``v`` field on the ambient set minus the core, and the core."""
-    value, scene = job.value, job.scene
-    s0 = scene.node_set(value("S0"))
-    v_domain = scene.lattice.with_mask(scene.masks[value("domain")] & ~s0.mask)
+    s0 = scene.node_set(scene.value("S0"))
+    v_domain = scene.lattice.with_mask(scene.node_set(scene.value("domain")).mask & ~s0.mask)
     if not v_domain.mask.any():
         raise PreconditionError("empty domain: ambient set minus the core is empty")
-    return scene.field(value("v"), v_domain), s0
+    return scene.field(scene.value("v"), v_domain), s0
 
 
-def _glue_green(job: _Run):
-    value, scene = job.value, job.scene
-    v, s0 = _field_off_core(job)
-    res = glue_green(
+def _glue_green(scene: _Scene):
+    v, s0 = _field_off_core(scene)
+    scene.glued(glue_green(
         v,
         s0=s0,
-        s=scene.node_set(value("S")),
-        d_domain=scene.domain(value("D")),
-        o=value("pole"),
-        m_v=value("m_v"),
-        M_v=value("M_v"),
-        params=_solver_params(job),
-        tol=job.tol,
-        cert_tol=job.cert_tol,
-        harmonic_tol=job.harmonic_tol,
-    )
-    job.glued(res)
+        s=scene.node_set(scene.value("S")),
+        d_domain=scene.domain(scene.value("D")),
+        o=scene.value("pole"),
+        m_v=scene.value("m_v"),
+        M_v=scene.value("M_v"),
+        **_green_settings(scene),
+    ))
 
 
-def _glue_full(job: _Run):
-    value = job.value
-    v, s0 = _field_off_core(job)
-    res = glue_full(
+def _glue_full(scene: _Scene):
+    v, s0 = _field_off_core(scene)
+    scene.glued(glue_full(
         v,
         s0=s0,
-        o=value("pole"),
-        r=value("r"),
-        M_v=value("M_v"),
-        params=_solver_params(job),
-        tol=job.tol,
-        cert_tol=job.cert_tol,
-        harmonic_tol=job.harmonic_tol,
-        **_given(mean_samples=value("samples")),
-    )
-    job.glued(res)
+        o=scene.value("pole"),
+        r=scene.value("r"),
+        M_v=scene.value("M_v"),
+        **_green_settings(scene),
+        **_given(mean_samples=scene.value("samples")),
+    ))
 
 
-def _capacity(job: _Run):
-    value = job.value
+def _capacity(scene: _Scene):
+    value = scene.value
     mode = value("mode")
     if mode not in ("fekete", "equilibrium"):
         raise ConfigValueError(f"unknown capacity mode {mode!r}")
     if value("support") and value("circle"):
         raise ConfigValueError("capacity takes key 'support' or key 'circle', not both")
     if value("support"):
-        points = job.scene.node_set(value("support")).points()
+        points = scene.node_set(value("support")).points()
     elif value("circle"):
         cx, cy, radius, count = value("circle")
         _require_memory(16 * count, f"a {count:,}-point circle sample")
@@ -302,22 +285,15 @@ def _capacity(job: _Run):
         if value("n") is None:
             raise ConfigValueError("mode fekete needs key 'n'")
         rep = fekete_capacity(points, value("n"))
-        job.records["capacity"] = {
-            "energy": rep.energy,
-            "capacity": rep.capacity,
-            "iterations": rep.iterations,
-            "converged": rep.converged,
-        }
-        job.emit("points.txt", write_points, rep.points)
+        record = {"energy": rep.energy, "capacity": rep.capacity}
+        points = rep.points
     else:
-        eq = equilibrium_weights(points, value("dim", 2))
-        job.records["capacity"] = {
-            "energy": eq.energy,
-            "iterations": eq.iterations,
-            "converged": eq.converged,
-        }
-        job.emit("points.txt", write_points, points)
-        job.emit("weights.txt", write_points, eq.measure.weights[:, None])
+        rep = equilibrium_weights(points, value("dim", points.shape[1]))
+        record = {"energy": rep.energy}
+    scene.records["capacity"] = {**record, "iterations": rep.iterations, "converged": rep.converged}
+    scene.emit("points.txt", write_points, points)
+    if mode == "equilibrium":
+        scene.emit("weights.txt", write_points, rep.measure.weights[:, None])
 
 
 # command -> handler.  Handlers reach the library through this module's
@@ -355,15 +331,15 @@ def run(
     if do_render and cfg.command != "capacity" and len(cfg.shape) != 2:
         raise PreconditionError("PGM rendering is planar only")
     os.makedirs(out_dir, exist_ok=True)
-    job = _Run(_Scene(cfg, base_dir), tol, out_dir)
+    scene = _Scene(cfg, base_dir, tol, out_dir)
     start = time.monotonic()
-    _HANDLERS[cfg.command](job)
-    if job.field is not None:
-        job.emit("field.txt", write_field, job.field)
-        if do_render and job.emit("field.pgm", write_pgm, job.field):
-            job.records["render_warning"] = "empty finite range, uniform image"
+    _HANDLERS[cfg.command](scene)
+    if scene.result is not None:
+        scene.emit("field.txt", write_field, scene.result)
+        if do_render and scene.emit("field.pgm", write_pgm, scene.result):
+            scene.records["render_warning"] = "empty finite range, uniform image"
     elapsed = time.monotonic() - start
-    failed = {c.kind for c in job.checks if not c.passed}
+    failed = {c.kind for c in scene.checks if not c.passed}
     if "hypothesis" in failed:
         exit_status = EXIT_PRECONDITION
     elif "conclusion" in failed:
@@ -373,14 +349,14 @@ def run(
     report = {
         "command": cfg.command,
         "echo": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.params.items()},
-        "constants": job.constants,
-        "checks": [c.as_record() for c in job.checks],
-        "outputs": [os.path.basename(p) for p in job.outputs],
+        "constants": scene.constants,
+        "checks": [c.as_record() for c in scene.checks],
+        "outputs": [os.path.basename(p) for p in scene.outputs],
         "exit_status": exit_status,
     }
     if seed is not None:
         report["echo"]["seed"] = seed
-    report.update(job.records)
+    report.update(scene.records)
     report_path = os.path.join(out_dir, "report.json")
     write_json(report, report_path)
     report["wall_time_s"] = elapsed
@@ -396,7 +372,6 @@ def render(field_path, out_path, value_range=None) -> str:
 
 def _error_report(out_dir, command, exit_status, message, tag=None):
     try:
-        os.makedirs(out_dir, exist_ok=True)
         record = {
             "command": command,
             "error": {"message": message, "tag": tag},

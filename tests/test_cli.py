@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -713,6 +714,39 @@ def test_lattice_budget_admits_the_large_demo_scenes(name, n):
     _Scene(parse_config(_demo_scene(name, n)), ".")
 
 
+@pytest.mark.parametrize("name", ["glue_full_disk.cfg", "glue_green_disk.cfg"])
+def test_scene_holds_one_mask_a_set(name):
+    # the lattice's mask is a broadcast, and each set is stored once, as the
+    # node set that every handler gets
+    n = 513
+    cfg = parse_config(_demo_scene(name, n))
+    tracemalloc.start()
+    try:
+        scene = _Scene(cfg, ".")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= (len(cfg.sets) + 0.1) * n**2
+    for set_name in cfg.sets:
+        assert scene.node_set(set_name) is scene.node_set(set_name)
+
+
+def test_empty_green_domain_fails_before_a_bad_solver_key(tmp_path):
+    # the solver settings are resolved after the sets of the call
+    bad_iter = _demo_scene("glue_green_disk.cfg", 65).replace(
+        "  pole 0 0\n", "  pole 0 0\n  max-iter 0\n"
+    )
+    empty_d = re.sub(r"set D .*", "set D { add ball 5 5 0.1 }", bad_iter)
+    for name, text, message in [
+        ("bad-iter", bad_iter, "max_iter must be positive"),
+        ("empty-d", empty_d, "empty domain: set 'D' has no active nodes"),
+    ]:
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / name), "--quiet"]) == 3
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["error"]["message"] == message
+
+
 GREEN_COMMAND = {
     2: "command green {\n  domain O\n  pole 0 0\n  S0 S0\n}\n",
     3: "command green {\n  domain O\n  pole 0 0 0\n  S0 S0\n}\n",
@@ -725,6 +759,27 @@ VERIFY_COMMAND = (
 )
 
 
+# exit-0 scenes of the two-field gluings whose fields are affine with
+# incommensurate slopes, so that nearly every glued value is distinct
+GLUE_BASIC_COMMAND = (
+    "set I { add ball 0 0 0.5 }\n"
+    "field u { affine 0.7071 0.3183 0.0123 }\n"
+    "command glue-basic {\n  u u\n  on O\n  u0 u\n  on0 I\n  tol 0.05\n}\n"
+)
+HALF_PLANES = "set A { add box -1 -1 0.25 1 }\nset B { add box -0.25 -1 1 1 }\n"
+GLUE_TWO_COMMAND = HALF_PLANES + (
+    "field a { affine 0.7071 0.3183 0.0123 }\n"
+    "field a0 { affine 1.7071 0.3183 0.0123 }\n"
+    "command glue-two {\n  v a\n  on A\n  v0 a0\n  on0 B\n  tol 1e-6\n}\n"
+)
+GLUE_QUANT_COMMAND = HALF_PLANES + (
+    "field w { affine 0.1 0.0317 0.0123 }\n"
+    "field g { affine 1 0.0137 0.5 }\n"
+    "command glue-quant {\n  v w\n  on A\n  g g\n  on0 B\n"
+    "  M_v 0.1\n  m_v -0.1\n  M_g 0.7\n  m_g 0.3\n  tol 1e-6\n}\n"
+)
+
+
 @pytest.mark.parametrize(
     "name, n, warm, command",
     [
@@ -734,8 +789,14 @@ VERIFY_COMMAND = (
         ("glue_full_ball3d.cfg", 65, 41, None),
         ("glue_full_ball3d.cfg", 65, 41, GREEN_COMMAND[3]),
         ("glue_full_disk.cfg", 257, 65, VERIFY_COMMAND),
+        ("glue_full_disk.cfg", 257, 65, GLUE_BASIC_COMMAND),
+        ("glue_full_disk.cfg", 257, 65, GLUE_TWO_COMMAND),
+        ("glue_full_disk.cfg", 257, 65, GLUE_QUANT_COMMAND),
     ],
-    ids=["glue-full-2d", "glue-green-2d", "green-2d", "glue-full-3d", "green-3d", "verify-2d"],
+    ids=[
+        "glue-full-2d", "glue-green-2d", "green-2d", "glue-full-3d", "green-3d", "verify-2d",
+        "glue-basic-2d", "glue-two-2d", "glue-quant-2d",
+    ],
 )
 def test_lattice_budget_bounds_the_peak_of_a_run(tmp_path, name, n, warm, command):
     # the peak past the imports: the smaller scene loads scipy first, even
@@ -760,6 +821,35 @@ def test_capacity_n_is_required_only_by_fekete(tmp_path, capsys):
     cfg = write_cfg(tmp_path, no_n)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "fk"), "--quiet"]) == 2
     assert "key 'n'" in capsys.readouterr().err
+
+
+UNIT_BALL_SUPPORT = """
+grid {
+  origin -1 -1 -1
+  spacing 0.25
+  shape 9 9 9
+}
+set B { add ball 0 0 0 1 }
+command capacity {
+  mode equilibrium
+  support B
+}
+"""
+
+
+def test_equilibrium_kernel_defaults_to_the_support_dimension(tmp_path):
+    # a 3-d support without key dim takes the Newton kernel, as with dim 3;
+    # an explicit dim 2 still asks for the planar log kernel
+    runs = {}
+    for dim in (None, 3, 2):
+        text = UNIT_BALL_SUPPORT.replace("support B\n", f"support B\n  dim {dim}\n")
+        cfg = write_cfg(tmp_path, UNIT_BALL_SUPPORT if dim is None else text, f"dim-{dim}.cfg")
+        out = tmp_path / f"dim-{dim}"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        runs[dim] = (report["capacity"], (out / "weights.txt").read_bytes())
+    assert runs[None] == runs[3]
+    assert runs[2][0]["energy"] != runs[3][0]["energy"]
 
 
 SET_REFERENCES = """
