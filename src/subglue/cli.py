@@ -53,13 +53,14 @@ EXIT_INTERNAL = 5
 _SHAPES = {"ball": Ball, "box": Box}
 
 # Peak bytes a lattice node of a whole run, inputs and field.txt included:
-# the tracemalloc peak in a fresh process at 2049^2 and 129^3 (README lists
-# them), rounded up.  The writer holds one repr string a distinct value, so
-# verify and the two-field gluings are measured on fields whose values are
-# all distinct.  capacity is held to one float64 array of the lattice.
+# the tracemalloc peak in a fresh process at 2049^2 and 129^3 and of the
+# warm 257^2 test scene (README lists them), rounded up.  The writer holds
+# one repr string a distinct value, so verify and the two-field gluings are
+# measured on fields whose values are all distinct.  capacity is held to one
+# float64 array of the lattice.
 _LATTICE_BYTES = {
     "green": 83, "glue-green": 58, "glue-full": 66, "verify": 86,
-    "glue-basic": 88, "glue-two": 108, "glue-quant": 124,
+    "glue-basic": 88, "glue-two": 108, "glue-quant": 106,
 }
 
 

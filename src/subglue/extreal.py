@@ -1,8 +1,8 @@
 """Extended real numbers with the arithmetic conventions used by the toolkit.
 
-An :class:`ExtReal` is a finite float or one of the two marks ``MINUS_INF`` /
-``PLUS_INF``.  The order is total (``-inf <= x <= +inf``) and arithmetic
-follows the conventions the rest of the package relies on:
+An :class:`ExtReal` is a ``float`` that is never NaN, so its order, equality
+and hashing are the float ones (``-inf <= x <= +inf``).  Arithmetic follows
+the conventions the rest of the package relies on where IEEE differs:
 
 * ``x * (+-inf) = +-inf`` for ``x > 0`` (sign flips for ``x < 0``),
 * ``0 * (+-inf) = 0``,
@@ -16,131 +16,83 @@ NaN, because any such expression in this package is a bug.
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+import operator
 
 from .errors import UndefinedOperation
 
 __all__ = ["ExtReal", "MINUS_INF", "PLUS_INF"]
 
 
-def _coerce(x):
-    if isinstance(x, ExtReal):
-        return x
-    if isinstance(x, (int, float)):
-        return ExtReal(float(x))
-    return NotImplemented
+def _mul(a: float, b: float) -> float:
+    # 0 * (+-inf) = 0 by convention, where IEEE would give NaN.
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
 
 
-@total_ordering
-class ExtReal:
-    """A real number extended with -inf and +inf.
+def _truediv(a: float, b: float) -> float:
+    return 0.0 if math.isinf(b) and not math.isinf(a) else a / b
 
-    Values are immutable.  Comparisons work against plain ints/floats, so
-    ``ExtReal(2.0) == 2`` and ``MINUS_INF < 0`` hold.
+
+def _arith(op, symbol: str, reflected: bool = False):
+    """The dunder applying ``op`` to two floats, with the result an ``ExtReal``.
+
+    A NaN result is one of the undefined forms and raises.
     """
 
-    __slots__ = ("_v",)
+    def method(self, other):
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        a, b = (float(other), float(self)) if reflected else (float(self), float(other))
+        r = op(a, b)
+        if math.isnan(r):
+            raise UndefinedOperation(f"{a!r} {symbol} {b!r} is undefined")
+        return ExtReal(r)
 
-    def __init__(self, value: float):
-        v = float(value)
-        if math.isnan(v):
+    return method
+
+
+class ExtReal(float):
+    """A real number extended with -inf and +inf.
+
+    Values are immutable floats, so ``ExtReal(2.0) == 2`` and
+    ``MINUS_INF < 0`` hold.  ``__array_ufunc__ = None`` makes numpy scalars
+    and arrays defer to this class's arithmetic instead of running IEEE's.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __new__(cls, value: float):
+        self = super().__new__(cls, value)
+        if math.isnan(self):
             raise ValueError("ExtReal cannot hold NaN")
-        object.__setattr__(self, "_v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtReal is immutable")
+        return self
 
     @property
     def value(self) -> float:
-        return self._v
-
-    def __float__(self) -> float:
-        return self._v
+        return float(self)
 
     def __repr__(self) -> str:
-        if self._v == math.inf:
-            return "ExtReal(+inf)"
-        if self._v == -math.inf:
-            return "ExtReal(-inf)"
-        return f"ExtReal({self._v!r})"
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v == o._v
-
-    def __lt__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v < o._v
+        if math.isinf(self):
+            return "ExtReal(+inf)" if self > 0 else "ExtReal(-inf)"
+        return f"ExtReal({float(self)!r})"
 
     def __neg__(self):
-        return ExtReal(-self._v)
+        return ExtReal(-float(self))
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return ExtReal(abs(self._v))
+        return ExtReal(abs(float(self)))
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self._v, o._v
-        if math.isinf(a) and math.isinf(b) and a != b:
-            raise UndefinedOperation("(+inf) + (-inf) is undefined")
-        return ExtReal(a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self._v, o._v
-        # 0 * (+-inf) = 0 by convention, where IEEE would give NaN.
-        if a == 0.0 or b == 0.0:
-            return ExtReal(0.0)
-        return ExtReal(a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self._v, o._v
-        if math.isinf(a) and math.isinf(b):
-            raise UndefinedOperation("inf / inf is undefined")
-        if math.isinf(b):
-            return ExtReal(0.0)
-        if b == 0.0:
-            raise ZeroDivisionError("division by zero")
-        return ExtReal(a / b)
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+    __add__ = _arith(operator.add, "+")
+    __radd__ = _arith(operator.add, "+", reflected=True)
+    __sub__ = _arith(operator.sub, "-")
+    __rsub__ = _arith(operator.sub, "-", reflected=True)
+    __mul__ = _arith(_mul, "*")
+    __rmul__ = _arith(_mul, "*", reflected=True)
+    __truediv__ = _arith(_truediv, "/")
+    __rtruediv__ = _arith(_truediv, "/", reflected=True)
 
 
 MINUS_INF = ExtReal(-math.inf)

@@ -476,6 +476,9 @@ def glue_quantitative(
             chain_viol[chain], chain, tol, "hypothesis", interface_nodes=int(chain.sum()),
         )
     )
+    # the reports hold scalars and locations: free the lattice arrays
+    # before the inner gluing peaks
+    del limsup_v, limsup_g, viol_g_low, chain, chain_viol
 
     v0 = quantitative_v0(g, c)
     inner = glue_two(v, v0, tol, cert_tol=cert_tol)

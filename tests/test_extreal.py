@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from subglue import ExtReal, MINUS_INF, PLUS_INF, UndefinedOperation
@@ -67,3 +68,24 @@ def test_immutability():
     x = ExtReal(1.0)
     with pytest.raises(AttributeError):
         x.value = 2.0
+
+
+def test_numpy_scalars_defer_to_the_conventions():
+    assert np.float64(0.0) * PLUS_INF == 0.0
+    with pytest.raises(UndefinedOperation):
+        np.float64(np.inf) + MINUS_INF
+
+
+def test_arrays_of_extreals_are_float_arrays():
+    assert np.asarray([MINUS_INF, ExtReal(1.0)]).dtype == np.float64
+
+
+def test_zero_is_falsy():
+    assert not ExtReal(0.0)
+    assert MINUS_INF
+
+
+def test_arrays_refuse_extreal_operands():
+    # No object array of ExtReals: the caller takes float(x) for an array op.
+    with pytest.raises(TypeError):
+        np.ones(2) * PLUS_INF
