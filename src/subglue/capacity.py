@@ -18,10 +18,10 @@ n x m scratch block for the exchange passes, about 3 * 8 m n bytes at peak.
 
 The energies and the equilibrium weights build m x m arrays over their m
 support points, and the equilibrium solve an (m + 1) x (m + 1) bordered
-system.  Every such array, and Fekete's 8 m n bytes, is checked against the
-512 MiB budget of ``errors._require_memory`` before it is allocated; a
-larger request, or points whose squared distances could overflow, raise a
-``PreconditionError`` before any pairwise work.
+system.  Every such array, and Fekete's three blocks together, is checked
+against the 512 MiB budget of ``errors._require_memory`` before the first
+is allocated; a larger request, or points whose squared distances could
+overflow, raise a ``PreconditionError`` before any pairwise work.
 """
 
 from __future__ import annotations
@@ -360,7 +360,11 @@ def fekete_capacity(s, n: int) -> EnergyReport:
     if m < n:
         raise PreconditionError(f"only {m} candidate points for n = {n}")
     _require_finite(cand, "candidate")
+    # rows, cols and part are all alive through the exchange passes, so the
+    # three are guarded together; one block alone over the budget is named
+    # by itself
     _require_memory(8 * m * n, f"a {m} x {n} log-distance block")
+    _require_memory(3 * 8 * m * n, f"the three {n} x {m} blocks rows, cols and part")
     x, y = cand.T.copy()
 
     # greedy: start from the farthest pair, then add the point with the

@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all subglue modules, and the memory guard
 that turns an oversized allocation into a ``PreconditionError``."""
 
-# largest single array a guarded computation may allocate, and the largest
-# peak a command's run may reach over its lattice; a call that needs more
-# fails up front with a PreconditionError instead of exhausting memory
+# largest array, or set of arrays alive together, that a guarded computation
+# may allocate, and the largest peak a command's run may reach over its
+# lattice; a call that needs more fails up front with a PreconditionError
+# instead of exhausting memory
 _MEMORY_BUDGET = 1 << 29
 
 

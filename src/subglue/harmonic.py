@@ -96,9 +96,12 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole, s
     sum of the fixed neighbour values (0 beyond the box) minus, at the pole
     node, ``h^2 strength`` for ``pole = (node, strength)`` (or None), the
     node an index of the box.  The full system is ``2d u_red - N u_black =
-    b_red`` and ``2d u_black - N^T u_red = b_black``.  The black numbering
-    and the red neighbour table are freed before the right-hand sides are
-    summed.
+    b_red`` and ``2d u_black - N^T u_red = b_black``.  The neighbour sums
+    of both colours come from one pass of 2d shifted adds over the box,
+    which runs only when some fixed value is nonzero: with zero data, as in
+    every Green solve, the right-hand side is the pole term alone, with the
+    same bits.  The black numbering and the red neighbour table are freed
+    before the right-hand sides are summed.
     """
     # imported here, not at module level, so that importing subglue for
     # capacity or certification alone does not load scipy.sparse
@@ -130,26 +133,40 @@ def _red_black_system(values: np.ndarray, unknown: np.ndarray, h: float, pole, s
         np.take(number, at + offset, out=table[:, j], mode="clip")
     del number, at
     present = table >= 0
+    # each row's count as a sum of the 2d columns: strided column adds are
+    # several times faster than a reduction along rows of 2d entries
+    counts = np.zeros(table.shape[0], dtype=np.int32)
+    for column in present.T:
+        counts += column
     indptr = np.zeros(table.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
     adj = sparse.csr_matrix(
         (np.ones(int(indptr[-1])), table[present], indptr),
         shape=(table.shape[0], np.count_nonzero(black)),
     )
-    del table, present
-    # the fixed neighbour sums, added from 0 in ascending offset order as a
-    # row sum of the gathered neighbours adds them; an unknown neighbour
-    # adds +0 and one beyond the box is skipped, both leaving every bit
-    fixed = np.where(unknown, 0.0, values)
-    b = np.zeros(values.shape)
-    axes = range(values.ndim)
-    for k, step in [*((k, -1) for k in axes), *((k, 1) for k in reversed(axes))]:
-        dst, src, _ = _shift_slices(values.ndim, k, step)
-        b[dst] += fixed[src]
-    del fixed
-    if pole is not None:
-        b[pole[0]] -= (h * h) * pole[1]
-    return red, black, adj, b[red], b[black]
+    del table, present, counts
+    if values.any(where=~unknown):
+        # the fixed neighbour sums, added from 0 in ascending offset order as
+        # a row sum of the gathered neighbours adds them; an unknown
+        # neighbour adds +0 and one beyond the box is skipped, both leaving
+        # every bit
+        fixed = np.where(unknown, 0.0, values)
+        b = np.zeros(values.shape)
+        axes = range(values.ndim)
+        for k, step in [*((k, -1) for k in axes), *((k, 1) for k in reversed(axes))]:
+            dst, src, _ = _shift_slices(values.ndim, k, step)
+            b[dst] += fixed[src]
+        del fixed
+        b_red, b_black = b[red], b[black]
+    else:
+        # every fixed value is +0 or -0, and sums of them from +0 are +0
+        b_red, b_black = np.zeros(np.count_nonzero(red)), np.zeros(np.count_nonzero(black))
+    if pole is not None and unknown[pole[0]]:
+        # the pole's index in its colour's row-major numbering
+        colour, b_colour = (black, b_black) if odd[pole[0]] else (red, b_red)
+        flat = np.ravel_multi_index(pole[0], values.shape)
+        b_colour[np.count_nonzero(colour.ravel()[:flat])] -= (h * h) * pole[1]
+    return red, black, adj, b_red, b_black
 
 
 def _cg_solve(

@@ -12,6 +12,7 @@ from subglue import (
     mutual_energy,
 )
 from subglue import capacity as capacity_module
+from subglue import errors
 from subglue.capacity import _kernel_matrix
 from subglue.kernels import kernel_k
 
@@ -666,6 +667,25 @@ def test_memory_guard_names_the_estimate_before_allocating(call, m, n):
         tracemalloc.stop()
     assert f"needs {8 * m * n:,} bytes" in str(info.value)
     assert peak < 5e6
+
+
+def test_fekete_guards_its_three_blocks_together(monkeypatch):
+    # each n x m block fits a budget between 8 m n and 24 m n bytes, but
+    # rows, cols and part are alive together and do not
+    m, n = 1000, 8
+    pts = roots_of_unity(m)
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 16 * m * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as info:
+            fekete_capacity(pts, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"rows, cols and part needs {24 * m * n:,} bytes" in str(info.value)
+    assert peak < 8 * m * n
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 24 * m * n)
+    assert fekete_capacity(pts, n).converged
 
 
 def test_bordered_system_guard_rejects_a_full_8192_point_support():

@@ -411,6 +411,33 @@ def _edge_masks(shape, seed):
     ]
 
 
+def _diagonal_masks(shape):
+    """``(mask, Moore component count)`` for masks that are not
+    axis-connected, in 2-d and 3-d: a diagonal staircase, two blocks meeting
+    at a corner and, in 3-d, two cubes sharing only an edge, each one Moore
+    component; and the corner blocks with an isolated node, two."""
+    d = len(shape)
+    if d < 2:
+        return []
+
+    def blocks(*starts):
+        mask = np.zeros(shape, dtype=bool)
+        for start in starts:
+            mask[tuple(slice(a, a + 2) for a in start)] = True
+        return mask
+
+    staircase = np.zeros(shape, dtype=bool)
+    for i in range(1, min(shape) - 1):
+        staircase[(i,) * d] = True
+    corner = blocks((1,) * d, (3,) * d)
+    masks = [(staircase, 1), (corner, 1)]
+    if d == 3:
+        masks.append((blocks((1, 1, 1), (3, 3, 1)), 1))
+    apart = corner.copy()
+    apart[(-1,) * d] = True
+    return masks + [(apart, 2)]
+
+
 SHAPES = [(30,), (13, 11), (7, 6, 8)]
 
 
@@ -435,7 +462,8 @@ def test_box_dilation_and_labels_match_the_whole_lattice(shape):
     dom = GridDomain((0.0,) * len(shape), 0.1, shape, np.ones(shape, dtype=bool))
     moore = np.ones((3,) * len(shape), dtype=bool)
     axis = ndimage.generate_binary_structure(len(shape), 1)
-    for mask in _edge_masks(shape, 2):
+    diagonal = _diagonal_masks(shape)
+    for mask in _edge_masks(shape, 2) + [mask for mask, _ in diagonal]:
         s = NodeSet(dom, mask)
         assert np.array_equal(s.dilate("moore").mask, ndimage.binary_dilation(mask, moore))
         assert np.array_equal(s.dilate("axis").mask, ndimage.binary_dilation(mask, axis))
@@ -450,3 +478,8 @@ def test_box_dilation_and_labels_match_the_whole_lattice(shape):
         if not mask.all():
             with pytest.raises(PreconditionError, match="not a member"):
                 s.component_containing(tuple(np.argwhere(~mask)[0]))
+    # the diagonal masks have several axis components, so the count took the
+    # Moore fallback on each
+    for mask, moore_count in diagonal:
+        assert ndimage.label(mask, structure=axis)[1] > 1
+        assert ndimage.label(mask, structure=moore)[1] == moore_count

@@ -27,7 +27,7 @@ from subglue import (
 
 from subglue import harmonic
 from subglue.field import _neighbour_sum
-from subglue.geometry import _bounding_box
+from subglue.geometry import _bounding_box, _shift_slices
 from subglue.harmonic import _cg_solve, _red_black_system, _snap_pole, _source_strength
 
 from conftest import annulus_domain, disk_domain, log_field
@@ -568,30 +568,16 @@ RED_BLACK_BOXES = [
 ]
 
 
-@pytest.mark.parametrize("shape, first, last, parity", RED_BLACK_BOXES)
-def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, last, parity):
-    rng = np.random.default_rng(sum(first) + len(shape))
-    inside = np.zeros(shape, dtype=bool)
-    inside[tuple(slice(a, b + 1) for a, b in zip(first, last))] = True
-    unknown = inside & (rng.random(shape) < 0.7)
-    for k, (a, b) in enumerate(zip(first, last)):  # pin the box's faces
-        for i in (a, b):
-            face = [slice(a2, b2 + 1) for a2, b2 in zip(first, last)]
-            face[k] = i
-            unknown[tuple(face)] = True
-    # a fifth of the fixed values are -0.0: a sum of them from 0 is +0.0
-    fixed = rng.uniform(-1.0, 1.0, shape)
-    fixed[rng.random(shape) < 0.2] = -0.0
-    values = np.where(unknown, 0.0, fixed)
-    pole = tuple(np.argwhere(unknown)[rng.integers(unknown.sum())])
-    source = np.zeros(shape)
-    source[pole] = rng.uniform(-5.0, 5.0)
-    h = 1 / 16
+def _assert_box_system_matches(rng, values, unknown, h, pole, strength):
+    """The assembly on the box of the unknowns grown by one node against
+    the whole lattice's, bit for bit, sign bits included."""
+    shape = values.shape
     box = _bounding_box(unknown, grow=1)
     start = tuple(s.start for s in box)
-    assert sum(start) % 2 == parity
     local = tuple(i - s for i, s in zip(pole, start))
-    system = _red_black_system(values[box], unknown[box], h, (local, source[pole]), start)
+    source = np.zeros(shape)
+    source[pole] = strength
+    system = _red_black_system(values[box], unknown[box], h, (local, strength), start)
     expected = _whole_lattice_red_black_system(values, unknown, h, source)
     for colour, ref in zip(system[:2], expected[:2]):
         full = np.zeros(shape, dtype=bool)
@@ -609,6 +595,53 @@ def test_red_black_system_on_the_box_matches_the_whole_lattice(shape, first, las
     for rhs, ref in zip(system[3:], expected[4:]):
         assert np.array_equal(rhs, ref)
         assert np.array_equal(np.signbit(rhs), np.signbit(ref))
+
+
+@pytest.mark.parametrize("shape, first, last, parity", RED_BLACK_BOXES)
+def test_red_black_system_on_the_box_matches_the_whole_lattice(
+    shape, first, last, parity, monkeypatch
+):
+    # the pass of neighbour sums takes one shifted add per stencil offset
+    shifts = []
+    monkeypatch.setattr(
+        harmonic, "_shift_slices", lambda *args: shifts.append(args) or _shift_slices(*args)
+    )
+    rng = np.random.default_rng(sum(first) + len(shape))
+    inside = np.zeros(shape, dtype=bool)
+    inside[tuple(slice(a, b + 1) for a, b in zip(first, last))] = True
+    unknown = inside & (rng.random(shape) < 0.7)
+    for k, (a, b) in enumerate(zip(first, last)):  # pin the box's faces
+        for i in (a, b):
+            face = [slice(a2, b2 + 1) for a2, b2 in zip(first, last)]
+            face[k] = i
+            unknown[tuple(face)] = True
+    assert sum(s.start for s in _bounding_box(unknown, grow=1)) % 2 == parity
+    # a fifth of the fixed values are -0.0: a sum of them from 0 is +0.0
+    fixed = rng.uniform(-1.0, 1.0, shape)
+    fixed[rng.random(shape) < 0.2] = -0.0
+    values = np.where(unknown, 0.0, fixed)
+    pole = tuple(np.argwhere(unknown)[rng.integers(unknown.sum())])
+    h = 1 / 16
+    _assert_box_system_matches(rng, values, unknown, h, pole, rng.uniform(-5.0, 5.0))
+    assert len(shifts) == 2 * len(shape)
+    # zero data, +0.0 and -0.0 mixed, skip the pass of neighbour sums: the
+    # right-hand side is the pole term alone, on a red and on a black pole
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    odd = np.indices(shape).sum(axis=0) % 2 == 1
+    for colour in (~odd, odd):
+        on = np.argwhere(unknown & colour)
+        pole = tuple(on[rng.integers(len(on))])
+        _assert_box_system_matches(rng, zeros, unknown, h, pole, rng.uniform(-5.0, 5.0))
+    assert len(shifts) == 2 * len(shape)
+    # one nonzero fixed value next to an unknown takes the full pass
+    from scipy import ndimage
+
+    axis = ndimage.generate_binary_structure(len(shape), 1)
+    next_to = np.argwhere(ndimage.binary_dilation(unknown, axis) & ~unknown)
+    single = zeros.copy()
+    single[tuple(next_to[rng.integers(len(next_to))])] = 0.5
+    _assert_box_system_matches(rng, single, unknown, h, pole, rng.uniform(-5.0, 5.0))
+    assert len(shifts) == 4 * len(shape)
 
 
 def _whole_lattice_pole(domain, o):
